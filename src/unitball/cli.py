@@ -61,9 +61,9 @@ def _emit(report_obj: dict, summary: str, code: int) -> int:
 
 
 def _cmd_check_extreme(args) -> int:
+    t0 = time.perf_counter()
     tol = Tolerance(abs=args.tol)
     a = ser.matrix_from_obj(ser.load_json(args.matrix))
-    t0 = time.perf_counter()
 
     if a.shape[0] != a.shape[1]:
         iso = classify_isometry(a, tol)
@@ -103,9 +103,9 @@ def _cmd_check_extreme(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    t0 = time.perf_counter()
     tol = Tolerance(abs=args.tol)
     phi = ser.superop_from_obj(ser.load_json(args.superop))
-    t0 = time.perf_counter()
 
     cert = classify_preserver(phi, tol, seed=args.seed)
     report = {"certificate": ser.certificate_to_obj(cert)}
@@ -169,8 +169,8 @@ def _cmd_make(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    phi = ser.superop_from_obj(ser.load_json(args.superop))
     t0 = time.perf_counter()
+    phi = ser.superop_from_obj(ser.load_json(args.superop))
 
     if not phi.is_square:
         report = {

@@ -10,6 +10,7 @@ that witness non-extremeness of contractions.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Band,
     Tolerance,
     as_matrix,
     hermitian_part,
@@ -53,6 +55,20 @@ class ExtremeVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+class _MatrixUnits(Sequence):
+    """Read-only sequence of the n^2 matrix units of M_n, built on access."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n * self.n
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        i, j = divmod(range(self.n * self.n)[k], self.n)
+        return matrix_unit(self.n, i, j)
+
+
 class StarAlgebraBasis:
     """A finite list of n x n matrices spanning a *-subalgebra of M_n.
 
@@ -61,13 +77,7 @@ class StarAlgebraBasis:
     contain the identity, all within tolerance.
     """
 
-    def __init__(
-        self,
-        elements,
-        tol: Tolerance = DEFAULT_TOL,
-        validate: bool = True,
-        _full: bool = False,
-    ):
+    def __init__(self, elements, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
         elems = tuple(as_matrix(e) for e in elements)
         if not elems:
             raise ValueError("basis needs at least one element")
@@ -76,16 +86,22 @@ class StarAlgebraBasis:
             if e.shape != (n, n):
                 raise ValueError(f"all elements must be {n}x{n}, got {e.shape}")
         self.n = n
-        self.elements = elems
-        self.is_full = _full
-        if validate and not _full:
+        self.elements: Sequence[np.ndarray] = elems
+        self.is_full = False
+        if validate:
             self._validate(tol)
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebraBasis":
-        """The matrix-unit basis of all of M_n (element E_ij at index i*n+j)."""
-        units = [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
-        return cls(units, validate=False, _full=True)
+        """The matrix-unit basis of all of M_n (element E_ij at index i*n+j).
+
+        The units are produced on access, so the basis costs no memory.
+        """
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        basis = cls.__new__(cls)
+        basis.n, basis.elements, basis.is_full = n, _MatrixUnits(n), True
+        return basis
 
     def _validate(self, tol: Tolerance) -> None:
         n = self.n
@@ -197,12 +213,11 @@ def kadison_extreme_test(
         residual = float(norms[best_index])
 
     score = max(pi_defect, residual)
-    if score <= teff:
-        verdict = ExtremeVerdict.EXTREME
-    elif score > 10 * teff:
-        verdict = ExtremeVerdict.NOT_EXTREME
-    else:
-        verdict = ExtremeVerdict.INCONCLUSIVE
+    verdict = {
+        Band.PASS: ExtremeVerdict.EXTREME,
+        Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,
+        Band.FAIL: ExtremeVerdict.NOT_EXTREME,
+    }[tol.band(score, n, n)]
 
     witness = best_index if residual > teff else None
     return ExtremePointReport(

@@ -15,12 +15,12 @@ certified a posteriori by the r_hom / r_anti / r_central residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, null_space_projection
+from .linalg import DEFAULT_TOL, Band, Tolerance, null_space_projection
 from .superop import SuperOperator, compose, transpose_map
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "JordanReport",
     "jordan_check",
     "stormer_split",
+    "jordan_structure",
     "recover_conjugating_unitary",
 ]
 
@@ -69,7 +70,7 @@ def _top_svals(stack: np.ndarray) -> np.ndarray:
 
 
 def _jordan_core(psi: SuperOperator, tol: Tolerance):
-    """Images, pairwise products, and identity residuals in one pass."""
+    """Identity-only report, images, and pairwise products, in one pass."""
     n, m = psi.dim_in, psi.dim_out
     images = psi.images_of_matrix_units()
 
@@ -96,48 +97,19 @@ def _jordan_core(psi: SuperOperator, tol: Tolerance):
     psi_of_eye = np.einsum("iiab->ab", images)
     r_unital = float(np.linalg.norm(psi_of_eye - np.eye(m), ord=2))
 
-    is_jordan = max(r_square, r_star) <= tol.effective(m, m)
-    return images, prod, r_square, r_star, r_unital, is_jordan, worst
-
-
-def jordan_check(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
-    """Evaluate the Jordan identities on all matrix-unit pairs.
-
-    Fills only the identity fields of the report; ``is_jordan`` is
-    ``max(r_square, r_star) <= tol`` (a Jordan map need not be unital, so
-    ``r_unital`` is reported but not gated).
-    """
-    _, _, r_square, r_star, r_unital, is_jordan, worst = _jordan_core(psi, tol)
-    return JordanReport(
+    report = JordanReport(
         r_square=r_square,
         r_star=r_star,
         r_unital=r_unital,
-        is_jordan=is_jordan,
+        is_jordan=tol.band(max(r_square, r_star), m, m) is Band.PASS,
         worst_square_pair=worst,
     )
+    return report, images, prod
 
 
-def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
-    """Split a unital Jordan *-homomorphism by its central projection.
-
-    The projection E is the maximal one annihilated on the right by every
-    multiplicative defect psi(E_ij E_kl) - psi(E_ij) psi(E_kl); the report
-    certifies it with r_hom (homomorphic on E), r_anti (antihomomorphic on
-    I - E) and r_central (E commutes with the image).  Multiplicities
-    (p, q) with p + q blocks of size dim_in are read off rank(E) when it is
-    integral within 0.1, else both are -1.
-    """
-    n, m = psi.dim_in, psi.dim_out
-    images, prod, r_square, r_star, r_unital, is_jordan, worst = _jordan_core(psi, tol)
-    teff = tol.effective(m, m)
-    if not is_jordan:
-        raise ValueError(
-            f"not a Jordan *-homomorphism within tolerance "
-            f"(r_square={r_square:.3e}, r_star={r_star:.3e})"
-        )
-    if r_unital > teff:
-        raise ValueError(f"map is not unital within tolerance (r_unital={r_unital:.3e})")
-
+def _central_split(report: JordanReport, images, prod, tol: Tolerance) -> JordanReport:
+    """The split of :func:`stormer_split`, from a core that passed its identities."""
+    n, m = images.shape[0], images.shape[2]
     hom_defect = -prod.copy()
     for j in range(n):
         hom_defect[:, j, j, :] += images
@@ -169,19 +141,50 @@ def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanRep
     if not integral:
         p, q = -1, -1
 
-    return JordanReport(
-        r_square=r_square,
-        r_star=r_star,
-        r_unital=r_unital,
-        is_jordan=is_jordan,
-        e=e_proj,
-        p=p,
-        q=q,
-        r_hom=r_hom,
-        r_anti=r_anti,
-        r_central=r_central,
-        worst_square_pair=worst,
+    return replace(
+        report, e=e_proj, p=p, q=q, r_hom=r_hom, r_anti=r_anti, r_central=r_central
     )
+
+
+def jordan_check(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
+    """Evaluate the Jordan identities on all matrix-unit pairs.
+
+    Fills only the identity fields of the report; ``is_jordan`` is
+    ``max(r_square, r_star) <= tol`` (a Jordan map need not be unital, so
+    ``r_unital`` is reported but not gated).
+    """
+    return _jordan_core(psi, tol)[0]
+
+
+def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
+    """Split a unital Jordan *-homomorphism by its central projection.
+
+    The projection E is the maximal one annihilated on the right by every
+    multiplicative defect psi(E_ij E_kl) - psi(E_ij) psi(E_kl); the report
+    certifies it with r_hom (homomorphic on E), r_anti (antihomomorphic on
+    I - E) and r_central (E commutes with the image).  Multiplicities
+    (p, q) with p + q blocks of size dim_in are read off rank(E) when it is
+    integral within 0.1, else both are -1.
+    """
+    report = jordan_structure(psi, tol)
+    if not report.is_jordan:
+        raise ValueError(
+            f"not a Jordan *-homomorphism within tolerance "
+            f"(r_square={report.r_square:.3e}, r_star={report.r_star:.3e})"
+        )
+    if report.e is None:
+        raise ValueError(f"map is not unital within tolerance (r_unital={report.r_unital:.3e})")
+    return report
+
+
+def jordan_structure(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
+    """The report of :func:`stormer_split` when psi is a unital Jordan map,
+    else that of :func:`jordan_check`, from a single evaluation of the
+    identities."""
+    report, images, prod = _jordan_core(psi, tol)
+    if report.is_jordan and report.r_unital <= tol.effective(psi.dim_out, psi.dim_out):
+        return _central_split(report, images, prod, tol)
+    return report
 
 
 def recover_conjugating_unitary(

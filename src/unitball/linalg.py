@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
+    "Band",
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
     "matrix_unit",
-    "multiply",
     "adjoint",
     "operator_norm",
-    "max_operator_norm",
-    "svd",
     "polar_unitary",
-    "psd_sqrt",
     "haar_unitary",
     "haar_from_rng",
     "null_space_projection",
@@ -40,13 +38,23 @@ __all__ = [
 RNG_NAME = "numpy-pcg64"
 
 
+class Band(Enum):
+    """Where a residual falls against the tolerance policy."""
+
+    PASS = "pass"
+    INCONCLUSIVE = "inconclusive"
+    FAIL = "fail"
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute tolerance with optional dimension scaling.
 
     The effective tolerance applied to an ``rows x cols`` residual is
     ``abs * sqrt(rows * cols)`` when ``dimension_scaling`` is on, plain
-    ``abs`` otherwise.  One policy, used by every residual certificate.
+    ``abs`` otherwise.  One policy, used by every residual certificate:
+    :meth:`band` passes a residual up to the effective tolerance, fails it
+    beyond ten times that, and leaves the decade between inconclusive.
     """
 
     abs: float = 1e-8
@@ -62,6 +70,15 @@ class Tolerance:
         if self.dimension_scaling:
             return self.abs * math.sqrt(rows * cols)
         return self.abs
+
+    def band(self, score: float, rows: int, cols: int | None = None) -> Band:
+        """PASS if ``score <= tol_eff``, FAIL if ``score > 10 tol_eff``, else INCONCLUSIVE."""
+        teff = self.effective(rows, cols)
+        if score <= teff:
+            return Band.PASS
+        if score > 10 * teff:
+            return Band.FAIL
+        return Band.INCONCLUSIVE
 
 
 DEFAULT_TOL = Tolerance()
@@ -86,15 +103,6 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return e
 
 
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
@@ -103,23 +111,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_matrix(a), ord=2))
-
-
-def max_operator_norm(stack: np.ndarray) -> float:
-    """Max of the largest singular values over a (k, m, n) stack of matrices."""
-    if stack.size == 0:
-        return 0.0
-    s = np.linalg.svd(stack, compute_uv=False)
-    return float(s[..., 0].max())
-
-
-def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = u @ diag(s) @ vh`` with descending nonnegative ``s``.
-
-    Raises ``numpy.linalg.LinAlgError`` if the iteration fails to converge,
-    which signals numerically pathological input.
-    """
-    return np.linalg.svd(as_matrix(a), full_matrices=False)
 
 
 def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,30 +127,6 @@ def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = u @ vh
     p = vh.conj().T @ (s[:, None] * vh)
     return w, hermitian_part(p)
-
-
-def psd_sqrt(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD square root ``r`` with ``r @ r == p`` within tolerance.
-
-    ``p`` must be Hermitian within tolerance with eigenvalues >= -tol;
-    eigenvalues in ``[-tol, 0)`` are clamped to zero.
-    """
-    p = as_matrix(p)
-    n = p.shape[0]
-    if p.shape[0] != p.shape[1]:
-        raise ValueError(f"psd_sqrt needs a square matrix, got {p.shape}")
-    teff = tol.effective(n, n)
-    if operator_norm(p - p.conj().T) > teff:
-        raise ValueError("psd_sqrt: input is not Hermitian within tolerance")
-    h = hermitian_part(p)
-    w, v = np.linalg.eigh(h)
-    if w[0] < -teff:
-        raise ValueError(
-            f"psd_sqrt: input is not PSD within tolerance (min eigenvalue {w[0]:.3e})"
-        )
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return hermitian_part(r)
 
 
 def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,15 +183,16 @@ def null_space_projection(
 
 
 def unitarity_defect(a: np.ndarray) -> float:
-    """max(||a* a - I||, ||a a* - I||) for a square matrix; 0 iff unitary."""
+    """max(||a* a - I||, ||a a* - I||) for a square matrix; 0 iff unitary.
+
+    For square ``a`` both products have the eigenvalues s_k^2 of the
+    singular values, so the defect is max(|s_max^2 - 1|, |s_min^2 - 1|).
+    """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"unitarity defect needs a square matrix, got {a.shape}")
-    eye = np.eye(a.shape[0])
-    return max(
-        operator_norm(a.conj().T @ a - eye),
-        operator_norm(a @ a.conj().T - eye),
-    )
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(max(abs(s[0] * s[0] - 1.0), abs(s[-1] * s[-1] - 1.0)))
 
 
 def nearest_projection(h: np.ndarray) -> np.ndarray:

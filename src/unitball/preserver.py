@@ -18,10 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .extremal import IsometryClass, classify_isometry
-from .jordan import JordanReport, MapKind, jordan_check, recover_conjugating_unitary, stormer_split
+from .jordan import JordanReport, MapKind, jordan_structure, recover_conjugating_unitary
 from .linalg import (
     DEFAULT_TOL,
+    Band,
     Tolerance,
     adjoint,
     complex_gaussian,
@@ -101,30 +101,40 @@ def _certificate(verdict, v, v_res, seed, **kw) -> PreserverCertificate:
     )
 
 
-def _witness_candidates(n: int, seed: int, worst_pair=None):
-    """Structured unitaries from the failing matrix-unit pair, then Haar samples."""
-    if worst_pair is not None:
-        i, j, k, l = worst_pair
-        gens = []
-        for a, b in dict.fromkeys([(i, j), (k, l)]):
-            e = matrix_unit(n, a, b)
-            for h in (e + e.conj().T, 1j * (e - e.conj().T)):
-                if operator_norm(h) > 1e-12:
-                    gens.append(h)
-        for h, t in itertools.product(gens, _WITNESS_T_STEPS):
-            yield unitary_exp(h, t)
+def _pair_unitaries(n: int, worst_pair):
+    """Unitaries exp(i t H) from the Hermitian parts of the failing matrix-unit pair."""
+    i, j, k, l = worst_pair
+    gens = []
+    for a, b in dict.fromkeys([(i, j), (k, l)]):
+        e = matrix_unit(n, a, b)
+        for h in (e + e.conj().T, 1j * (e - e.conj().T)):
+            if operator_norm(h) > 1e-12:
+                gens.append(h)
+    for h, t in itertools.product(gens, _WITNESS_T_STEPS):
+        yield unitary_exp(h, t)
+
+
+def _haar_samples(n: int, count: int, seed: int):
     rng = np.random.default_rng(seed)
-    for _ in range(WITNESS_SAMPLE_BUDGET):
+    for _ in range(count):
         yield haar_from_rng(n, rng)
 
 
-def _search_witness(phi: SuperOperator, tol: Tolerance, seed: int, worst_pair=None):
-    """First unitary the map sends off the unitary group, or None."""
-    for u in _witness_candidates(phi.dim_in, seed, worst_pair):
-        image = apply(phi, u)
-        if classify_isometry(image, tol) is not IsometryClass.UNITARY:
-            return u, unitarity_defect(image)
+def _first_witness(phi: SuperOperator, candidates, tol: Tolerance):
+    """First candidate unitary whose image misses unitarity by more than
+    10 tol_eff, with that defect, or (None, None)."""
+    m = phi.dim_out
+    for u in candidates:
+        defect = unitarity_defect(apply(phi, u))
+        if tol.band(defect, m, m) is Band.FAIL:
+            return u, defect
     return None, None
+
+
+def _search_witness(phi: SuperOperator, tol: Tolerance, seed: int, starts=()):
+    """The structured starts, then a seeded budget of Haar samples."""
+    samples = _haar_samples(phi.dim_in, WITNESS_SAMPLE_BUDGET, seed)
+    return _first_witness(phi, itertools.chain(starts, samples), tol)
 
 
 def falsify_by_sampling(
@@ -135,18 +145,15 @@ def falsify_by_sampling(
 ) -> np.ndarray | None:
     """Hunt for a Haar unitary whose image fails the unitary test.
 
-    Returns the first witness found within the trial budget, or None.  At
-    finite dimension the extreme points of the unit ball are exactly the
-    unitaries, so a witness disproves the preserver property outright.
+    Returns the first witness found within the trial budget, or None.  A
+    witness counts only when its image misses unitarity by more than ten
+    times the effective tolerance.  At finite dimension the extreme points
+    of the unit ball are exactly the unitaries, so a witness disproves the
+    preserver property outright.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = haar_from_rng(phi.dim_in, rng)
-        if classify_isometry(apply(phi, u), tol) is not IsometryClass.UNITARY:
-            return u
-    return None
+    return _first_witness(phi, _haar_samples(phi.dim_in, trials, seed), tol)[0]
 
 
 def perturb(phi: SuperOperator, epsilon: float, seed: int) -> SuperOperator:
@@ -162,6 +169,10 @@ def perturb(phi: SuperOperator, epsilon: float, seed: int) -> SuperOperator:
     )
 
 
+# Reason recorded when the witness search behind a failed stage comes back empty.
+_NO_WITNESS_REASON = {"jordan-identities-fail": "jordan-identities-fail-no-witness"}
+
+
 def classify_preserver(
     phi: SuperOperator,
     tol: Tolerance = DEFAULT_TOL,
@@ -172,86 +183,68 @@ def classify_preserver(
     Steps: (1) v = image of I must be unitary; (2) psi = v* . phi must pass
     the Jordan identities; (3) the central splitting decides conjugation
     vs. transpose-conjugation; (4) the conjugating unitary is recovered and
-    (5) the map is rebuilt and compared.  Any failure triggers a bounded
-    witness search; a found witness yields NotPreserver, exhaustion yields
-    Inconclusive.  Rectangular maps get diagnostics only (Jordan report and
+    (5) the map is rebuilt and compared.  Every residual is judged by
+    ``tol.band``.  Only a reconstruction residual that passes yields
+    Preserver.  An image of I inside the band yields Inconclusive.  Any
+    other failure runs one bounded witness search, whose witness (an image
+    missing unitarity by more than 10 tol_eff; I itself when the image of
+    I fails) yields NotPreserver, and whose exhaustion yields Inconclusive.
+    Rectangular maps get diagnostics only (Jordan report and
     multiplicities) because the factorization theorem is about
     endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
-    v = apply(phi, np.eye(n, dtype=np.complex128))
+    eye = np.eye(n, dtype=np.complex128)
+    v = apply(phi, eye)
     v_res = unitarity_defect(v)
+    v_band = tol.band(v_res, m, m)
+
+    def reject(reason: str, starts=(), **fields) -> PreserverCertificate:
+        witness, defect = _search_witness(phi, tol, seed, starts)
+        if witness is None:
+            return _certificate(
+                PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
+                reason=_NO_WITNESS_REASON.get(reason, reason), **fields,
+            )
+        return _certificate(
+            PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
+            witness=witness, witness_defect=defect, reason=reason, **fields,
+        )
 
     if n != m:
         jordan = None
-        if v_res <= tol.effective(m, m):
-            psi = left_multiplier(adjoint(v), phi)
-            jordan = jordan_check(psi, tol)
-            if jordan.is_jordan and jordan.r_unital <= tol.effective(m, m):
-                jordan = stormer_split(psi, tol)
+        if v_band is Band.PASS:
+            jordan = jordan_structure(left_multiplier(adjoint(v), phi), tol)
         return _certificate(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
             jordan=jordan, reason="theorem-scope",
         )
-
-    if v_res > tol.effective(n, n):
+    if v_band is Band.FAIL:
+        return reject("image-of-identity-not-unitary", [eye])
+    if v_band is Band.INCONCLUSIVE:
         return _certificate(
-            PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
-            witness=np.eye(n, dtype=np.complex128), witness_defect=v_res,
-            reason="image-of-identity-not-unitary",
+            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason="image-of-identity-in-band"
         )
 
     psi = left_multiplier(adjoint(v), phi)
-    jordan = jordan_check(psi, tol)
-    if not jordan.is_jordan:
-        witness, defect = _search_witness(phi, tol, seed, jordan.worst_square_pair)
-        if witness is not None:
-            return _certificate(
-                PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
-                jordan=jordan, witness=witness, witness_defect=defect,
-                reason="jordan-identities-fail",
-            )
-        return _certificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
-            jordan=jordan, reason="jordan-identities-fail-no-witness",
-        )
+    jordan = jordan_structure(psi, tol)
+    starts = _pair_unitaries(n, jordan.worst_square_pair)
+    if jordan.e is None:
+        return reject("jordan-identities-fail", starts, jordan=jordan)
 
-    jordan = stormer_split(psi, tol)
-    e = jordan.e
-    eye = np.eye(n, dtype=np.complex128)
     if n == 1:
         kind = MapKind.COMMUTATIVE
-    elif operator_norm(e - eye) <= 0.5:
+    elif operator_norm(jordan.e - eye) <= 0.5:
         kind = MapKind.HOM
-    elif operator_norm(e) <= 0.5:
+    elif operator_norm(jordan.e) <= 0.5:
         kind = MapKind.ANTI
     else:
-        witness, defect = _search_witness(phi, tol, seed, jordan.worst_square_pair)
-        if witness is not None:
-            return _certificate(
-                PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
-                jordan=jordan, witness=witness, witness_defect=defect,
-                reason="proper-central-projection",
-            )
-        return _certificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
-            jordan=jordan, reason="proper-central-projection",
-        )
+        return reject("proper-central-projection", starts, jordan=jordan)
 
     try:
         w = recover_conjugating_unitary(psi, kind, tol)
     except ValueError:
-        witness, defect = _search_witness(phi, tol, seed, jordan.worst_square_pair)
-        if witness is not None:
-            return _certificate(
-                PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
-                jordan=jordan, witness=witness, witness_defect=defect,
-                reason="unitary-recovery-failed",
-            )
-        return _certificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
-            jordan=jordan, reason="unitary-recovery-failed",
-        )
+        return reject("unitary-recovery-failed", starts, jordan=jordan)
 
     transpose_flag = kind is MapKind.ANTI
     u_left = v @ w
@@ -260,28 +253,13 @@ def classify_preserver(
     if transpose_flag:
         rebuilt = compose(rebuilt, transpose_map(n))
     rec = operator_norm(phi.matrix - rebuilt.matrix) / operator_norm(phi.matrix)
-
-    if rec <= tol.effective(m * m, n * n):
-        return _certificate(
-            PreserverVerdict.PRESERVER, v, v_res, seed,
-            jordan=jordan, kind=kind, u_left=u_left, v_right=v_right,
-            transpose_flag=transpose_flag, w=w, reconstruction_residual=rec,
-        )
-
-    witness, defect = _search_witness(phi, tol, seed, jordan.worst_square_pair)
-    if witness is not None:
-        return _certificate(
-            PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
-            jordan=jordan, kind=kind, u_left=u_left, v_right=v_right,
-            transpose_flag=transpose_flag, w=w, reconstruction_residual=rec,
-            witness=witness, witness_defect=defect, reason="reconstruction-mismatch",
-        )
-    return _certificate(
-        PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
+    fields = dict(
         jordan=jordan, kind=kind, u_left=u_left, v_right=v_right,
         transpose_flag=transpose_flag, w=w, reconstruction_residual=rec,
-        reason="reconstruction-mismatch",
     )
+    if tol.band(rec, n * n, n * n) is Band.PASS:
+        return _certificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
+    return reject("reconstruction-mismatch", starts, **fields)
 
 
 def identity_residuals(

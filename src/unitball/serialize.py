@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -116,18 +117,24 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
         raise FormatError(f"matrix: dimensions must be positive, got {rows}x{cols}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"matrix: expected {rows} rows of entries")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"matrix: row {i} must have {cols} entries")
-        for j, pair in enumerate(row):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise FormatError(f"matrix: entry ({i},{j}) must be a [re, im] pair")
-            out[i, j] = complex(
-                _as_float(pair[0], f"matrix entry ({i},{j}) re"),
-                _as_float(pair[1], f"matrix entry ({i},{j}) im"),
-            )
-    return out
+    # Shape and type checks run over whole levels of the nesting at C speed;
+    # numpy alone would accept bools and numeric strings.
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {cols}:
+        raise FormatError(f"matrix: every row must be a list of {cols} entries")
+    pairs = list(chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        raise FormatError("matrix: every entry must be a [re, im] pair")
+    flat = list(chain.from_iterable(pairs))
+    for t in set(map(type, flat)):
+        if issubclass(t, bool) or not issubclass(t, (int, float)):
+            raise FormatError(f"matrix: entries must be numbers, got {t.__name__}")
+    try:
+        parts = np.array(flat, dtype=np.float64)
+    except OverflowError as exc:
+        raise FormatError(f"matrix: entry out of range: {exc}") from exc
+    if not np.isfinite(parts).all():
+        raise FormatError("matrix: non-finite entry")
+    return parts.view(np.complex128).reshape(rows, cols)
 
 
 def _opt_matrix_to_obj(a: np.ndarray | None):

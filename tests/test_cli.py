@@ -3,6 +3,8 @@ carries the one-line summary, and the exit codes {0,1,2,64,65} are a closed
 set."""
 
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import pytest
 from unitball import serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from unitball.gen import InstanceSpec, InstanceKind, generate, trace_pinch_map
-from unitball.linalg import matrix_unit
+from unitball.linalg import DEFAULT_TOL, haar_from_rng, matrix_unit
+from unitball.superop import SuperOperator, from_left_right, identity_map
 
 
 def run(capsys, *argv):
@@ -155,6 +158,18 @@ def test_classify_rectangular_reports_multiplicities(tmp_path, capsys):
     assert (cert["jordan"]["p"], cert["jordan"]["q"]) == (2, 1)
 
 
+def test_classify_near_tolerance_map_is_inconclusive(tmp_path, capsys):
+    # a preserver times (1 + d): every unitary's image misses unitarity by 3 tol_eff
+    rng = np.random.default_rng(20260418)
+    base = from_left_right(haar_from_rng(6, rng), haar_from_rng(6, rng))
+    d = math.sqrt(1.0 + 3.0 * DEFAULT_TOL.effective(6, 6)) - 1.0
+    path = write_superop(tmp_path, "near.json", SuperOperator(6, 6, (1.0 + d) * base.matrix))
+    code, obj, _ = run_json(capsys, "classify", path)
+    assert code == EXIT_INCONCLUSIVE
+    assert obj["certificate"]["reason"] == "image-of-identity-in-band"
+    assert obj["cross_check"]["witness_found"] is False
+
+
 def test_classify_verdict_is_reproducible(tmp_path, capsys):
     phi = generate(InstanceSpec(n=3, kind=InstanceKind.HOM_PRESERVER, seed=5))
     path = write_superop(tmp_path, "again.json", phi)
@@ -248,6 +263,34 @@ def test_verify_identities_rectangular(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ global cli
+
+
+@pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
+def test_run_wall_time_includes_reading_the_input(tmp_path, capsys, monkeypatch, command):
+    if command == "check-extreme":
+        path = write_matrix(tmp_path, "eye.json", np.eye(2))
+    else:
+        path = write_superop(tmp_path, "id.json", identity_map(2))
+    load = ser.load_json
+
+    def slow_load(p):
+        time.sleep(0.05)
+        return load(p)
+
+    monkeypatch.setattr(ser, "load_json", slow_load)
+    code, obj, _ = run_json(capsys, command, path)
+    assert code == EXIT_OK
+    assert obj["run"]["wall_time_s"] >= 0.05
+
+
+@pytest.mark.parametrize("number", ["1e400", "1" + "0" * 400], ids=["float", "int"])
+def test_out_of_range_entry_is_data_error(tmp_path, capsys, number):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"rows": 1, "cols": 1, "entries": [[[{number}, 0]]]}}')
+    code, out, err = run(capsys, "check-extreme", str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "error" in err
 
 
 def test_no_arguments_is_usage_error(capsys):

@@ -3,6 +3,7 @@ loop over basis elements, and every decomposition is re-verified by direct
 reconstruction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ def test_full_basis_layout():
     assert basis.n == 3 and basis.is_full and len(basis.elements) == 9
     # element at index i*n + j is E_ij
     assert np.array_equal(basis.elements[5], matrix_unit(3, 1, 2))
+
+
+def test_full_basis_builds_units_on_access():
+    tracemalloc.start()
+    try:
+        basis = StarAlgebraBasis.full(32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # the 1024 dense units would take 16 MiB
+    assert len(basis.elements) == 32 * 32
+    assert np.array_equal(basis.elements[-1], matrix_unit(32, 31, 31))
+    with pytest.raises(IndexError):
+        basis.elements[32 * 32]
 
 
 def test_diagonal_subalgebra_validates():

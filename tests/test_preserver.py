@@ -2,15 +2,19 @@
 re-verified from the raw map: reconstructions are applied to fresh random
 inputs and witnesses are re-run through the unitary test."""
 
+import math
+
 import numpy as np
 import pytest
 
+from unitball import jordan
 from unitball.extremal import IsometryClass, classify_isometry
-from unitball.gen import trace_pinch_map
+from unitball.gen import InstanceKind, InstanceSpec, generate, trace_pinch_map
 from unitball.jordan import MapKind
 from unitball.linalg import (
     DEFAULT_TOL,
     complex_gaussian,
+    haar_from_rng,
     haar_unitary,
     operator_norm,
     unitarity_defect,
@@ -153,6 +157,66 @@ def test_perturbed_preservers_never_certify(epsilon):
         assert cert.verdict is not PreserverVerdict.PRESERVER
         if cert.verdict is PreserverVerdict.NOT_PRESERVER:
             assert unitarity_defect(apply(phi, cert.witness)) > DEFAULT_TOL.effective(3, 3)
+
+
+# ------------------------------------------------------- tolerance band
+
+
+def scaled_preserver(n, factor, anti=False, seed=20260418):
+    """A preserver times (1 + d), so that the image of every unitary, I
+    included, misses unitarity by exactly ``factor`` * tol_eff(n, n)."""
+    rng = np.random.default_rng(seed)
+    phi = from_left_right(haar_from_rng(n, rng), haar_from_rng(n, rng))
+    if anti:
+        phi = compose(phi, transpose_map(n))
+    d = math.sqrt(1.0 + factor * DEFAULT_TOL.effective(n, n)) - 1.0
+    return SuperOperator(n, n, (1.0 + d) * phi.matrix)
+
+
+def test_image_of_identity_in_band_is_inconclusive():
+    phi = scaled_preserver(6, 3.0)
+    cert = classify_preserver(phi)
+    assert cert.v_unitarity_residual == pytest.approx(3 * DEFAULT_TOL.effective(6, 6), rel=1e-6)
+    assert cert.verdict is PreserverVerdict.INCONCLUSIVE
+    assert cert.reason == "image-of-identity-in-band"
+    assert cert.witness is None
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("n", [3, 6])
+def test_scaling_sweep_crosses_the_band_in_order(n, anti):
+    verdicts = [
+        classify_preserver(scaled_preserver(n, factor, anti)).verdict
+        for factor in (0.1, 3.0, 30.0)
+    ]
+    assert verdicts == [
+        PreserverVerdict.PRESERVER,
+        PreserverVerdict.INCONCLUSIVE,
+        PreserverVerdict.NOT_PRESERVER,
+    ]
+
+
+@pytest.mark.parametrize("label", ["hom", "anti", "pinch", "mixed"])
+def test_jordan_core_runs_once_per_call(label, monkeypatch):
+    phi = {
+        "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=1)),
+        "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=2)),
+        "pinch": lambda: trace_pinch_map(3),
+        "mixed": lambda: generate(
+            InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=3, p=1, q=1)
+        ),
+    }[label]()
+    calls = []
+    core = jordan._jordan_core
+
+    def counted(psi, tol):
+        calls.append(psi)
+        return core(psi, tol)
+
+    monkeypatch.setattr(jordan, "_jordan_core", counted)
+    cert = classify_preserver(phi)
+    assert cert.jordan is not None
+    assert len(calls) == 1
 
 
 # --------------------------------------------------- out-of-scope inputs

@@ -29,6 +29,8 @@ def test_matrix_bit_exact_round_trip():
     back = ser.matrix_from_obj(roundtrip(ser.matrix_to_obj(a)))
     assert back.dtype == np.complex128
     assert np.array_equal(back, a)
+    # in memory, without JSON text, the entries are numpy float64 scalars
+    assert np.array_equal(ser.matrix_from_obj(ser.matrix_to_obj(a)), a)
 
 
 def test_matrix_schema_errors():
@@ -39,6 +41,13 @@ def test_matrix_schema_errors():
         lambda o: o.__setitem__("entries", [[[1.0, 0.0]]]),
         lambda o: o["entries"][0].__setitem__(0, [1.0]),
         lambda o: o.__setitem__("rows", 0),
+        lambda o: o["entries"][0].__setitem__(0, (1.0, 0.0)),
+        lambda o: o["entries"][1].pop(),
+        lambda o: o["entries"][0][0].__setitem__(0, True),
+        lambda o: o["entries"][0][0].__setitem__(0, "1.0"),
+        lambda o: o["entries"][1][1].__setitem__(1, None),
+        lambda o: o["entries"][0][1].__setitem__(0, float("inf")),
+        lambda o: o["entries"][0][1].__setitem__(0, 10**400),
     ):
         broken = json.loads(json.dumps(good))
         breakage(broken)
