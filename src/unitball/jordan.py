@@ -198,7 +198,9 @@ def recover_conjugating_unitary(
     projection onto span(w e_1); pick its top singular vector v, then
     column i of w is the image of E_i1 applied to v.  The phase gauge is
     fixed by making the first nonzero entry of the first column real
-    positive.  For the Anti kind the map is pre-composed with the transpose
+    positive; the 1e-8 relative cutoff only picks which entry that is,
+    i.e. a global phase of w, which cancels in w A w* and so in every
+    verdict.  For the Anti kind the map is pre-composed with the transpose
     so the same construction applies.
     """
     n = psi.dim_in

@@ -2,17 +2,20 @@
 
 A linear map on M_n preserves the extreme points of the unit ball exactly
 when it sends every unitary to a unitary, and every such map factors as
-A -> U A V or A -> U A^tr V with U, V unitary.  The decision pipeline is
-constructive: look at the image of I, strip it off, verify the Jordan
-identities on matrix units, split centrally, recover the conjugating
-unitary, and certify by rebuilding the map and measuring the residual.
-A seeded sampling falsifier provides an independent probabilistic
-cross-check of the same property.
+A -> U A V or A -> U A^tr V with U, V unitary.  So the decision reads U
+and V off the images of I and of the matrix units, once for each form,
+rebuilds the map exactly unitary, and lets one number decide: the
+residual rho = ||S - R|| between the input and rebuilt superoperator
+matrices, which bounds how far any unitary's image can be from unitary.
+A rejection rests on one object, a witness unitary.  A seeded sampling
+falsifier provides an independent probabilistic cross-check of the same
+property.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +32,7 @@ from .linalg import (
     hermitian_part,
     matrix_unit,
     operator_norm,
+    polar_unitary,
     unitarity_defect,
     unitary_exp,
 )
@@ -58,12 +62,17 @@ class PreserverVerdict(Enum):
 class PreserverCertificate:
     """Verdict plus everything needed to audit it.
 
-    For a Preserver the map reconstructs as u_left @ A @ v_right, with the
-    transpose applied first when ``transpose_flag`` is set, and
-    ``reconstruction_residual`` is the relative distance between the input
-    and rebuilt superoperator matrices.  For a NotPreserver, ``witness`` is
-    a concrete unitary whose image fails the unitary test by
-    ``witness_defect``.  Fields that a given path never computed are None.
+    For a square map whose image of I passes, ``kind``, ``u_left``,
+    ``v_right`` and ``transpose_flag`` describe the candidate
+    A -> u_left A v_right (transpose applied first when ``transpose_flag``
+    is set), and ``reconstruction_residual`` is its absolute operator-norm
+    distance rho from the input superoperator matrix.  A Preserver is that
+    candidate; a rejection carries it too, so its residual can be
+    re-checked.  For a NotPreserver, ``witness`` is a concrete unitary
+    whose image fails the unitary test by ``witness_defect``.  ``jordan``
+    holds the Jordan report of a rectangular map.  ``w`` is retired and
+    always None (it equalled ``v_right`` conjugate-transposed).  Fields
+    that a given path never computed are None.
     """
 
     verdict: PreserverVerdict
@@ -101,15 +110,11 @@ def _certificate(verdict, v, v_res, seed, **kw) -> PreserverCertificate:
     )
 
 
-def _pair_unitaries(n: int, worst_pair):
-    """Unitaries exp(i t H) from the Hermitian parts of the failing matrix-unit pair."""
-    i, j, k, l = worst_pair
-    gens = []
-    for a, b in dict.fromkeys([(i, j), (k, l)]):
-        e = matrix_unit(n, a, b)
-        for h in (e + e.conj().T, 1j * (e - e.conj().T)):
-            if operator_norm(h) > 1e-12:
-                gens.append(h)
+def _pair_unitaries(n: int, unit):
+    """Unitaries exp(i t H) from the Hermitian parts of the matrix unit E_ij."""
+    i, j = unit
+    e = matrix_unit(n, i, j)
+    gens = [e + e.conj().T] if i == j else [e + e.conj().T, 1j * (e - e.conj().T)]
     for h, t in itertools.product(gens, _WITNESS_T_STEPS):
         yield unitary_exp(h, t)
 
@@ -169,29 +174,30 @@ def perturb(phi: SuperOperator, epsilon: float, seed: int) -> SuperOperator:
     )
 
 
-# Reason recorded when the witness search behind a failed stage comes back empty.
-_NO_WITNESS_REASON = {"jordan-identities-fail": "jordan-identities-fail-no-witness"}
-
-
 def classify_preserver(
     phi: SuperOperator,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = 0,
 ) -> PreserverCertificate:
-    """Run the full decision and decomposition pipeline on a map M_n -> M_n.
+    """Decide whether a map M_n -> M_n sends unitaries to unitaries.
 
-    Steps: (1) v = image of I must be unitary; (2) psi = v* . phi must pass
-    the Jordan identities; (3) the central splitting decides conjugation
-    vs. transpose-conjugation; (4) the conjugating unitary is recovered and
-    (5) the map is rebuilt and compared.  Every residual is judged by
-    ``tol.band``.  Only a reconstruction residual that passes yields
-    Preserver.  An image of I inside the band yields Inconclusive.  Any
-    other failure runs one bounded witness search, whose witness (an image
-    missing unitarity by more than 10 tol_eff; I itself when the image of
-    I fails) yields NotPreserver, and whose exhaustion yields Inconclusive.
-    Rectangular maps get diagnostics only (Jordan report and
-    multiplicities) because the factorization theorem is about
-    endomorphisms.
+    Steps: (1) v = image of I must be unitary; (2) for each kind the
+    theorem allows (Hom and Anti, or Commutative at n = 1) the conjugating
+    unitary w of psi = v* . phi is read off the matrix units, and the map
+    A -> u_left A v_right (transpose first for Anti), with u_left the polar
+    factor of v w and v_right = w*, is rebuilt exactly unitary; (3) the
+    candidate with the smaller rho = ||S - R|| (operator norm of the
+    difference of the superoperator matrices) is kept.  Since
+    ||vec A|| = sqrt(n) for a unitary A, every image misses unitarity by at
+    most 2 sqrt(n) rho + n rho^2; Preserver needs that bound to pass
+    ``tol.band`` at n x n, so no unitary can contradict a Preserver.  An
+    image of I inside the band yields Inconclusive.  Any other failure runs
+    one bounded witness search, started from the matrix unit whose column
+    of S - R is largest (from I when the image of I fails), whose witness
+    (an image missing unitarity by more than 10 tol_eff) yields
+    NotPreserver and whose exhaustion yields Inconclusive.  Rectangular
+    maps get diagnostics only (Jordan report and multiplicities) because
+    the factorization theorem is about endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
     eye = np.eye(n, dtype=np.complex128)
@@ -203,8 +209,7 @@ def classify_preserver(
         witness, defect = _search_witness(phi, tol, seed, starts)
         if witness is None:
             return _certificate(
-                PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
-                reason=_NO_WITNESS_REASON.get(reason, reason), **fields,
+                PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason=reason, **fields
             )
         return _certificate(
             PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
@@ -227,39 +232,31 @@ def classify_preserver(
         )
 
     psi = left_multiplier(adjoint(v), phi)
-    jordan = jordan_structure(psi, tol)
-    starts = _pair_unitaries(n, jordan.worst_square_pair)
-    if jordan.e is None:
-        return reject("jordan-identities-fail", starts, jordan=jordan)
+    candidates = []
+    for kind in (MapKind.COMMUTATIVE,) if n == 1 else (MapKind.HOM, MapKind.ANTI):
+        try:
+            w = polar_unitary(recover_conjugating_unitary(psi, kind, tol))[0]
+        except ValueError:
+            continue
+        u_left, v_right = polar_unitary(v @ w)[0], adjoint(w)
+        rebuilt = from_left_right(u_left, v_right)
+        if kind is MapKind.ANTI:
+            rebuilt = compose(rebuilt, transpose_map(n))
+        diff = phi.matrix - rebuilt.matrix
+        candidates.append((operator_norm(diff), kind, u_left, v_right, diff))
+    if not candidates:
+        return reject("unitary-recovery-failed")
 
-    if n == 1:
-        kind = MapKind.COMMUTATIVE
-    elif operator_norm(jordan.e - eye) <= 0.5:
-        kind = MapKind.HOM
-    elif operator_norm(jordan.e) <= 0.5:
-        kind = MapKind.ANTI
-    else:
-        return reject("proper-central-projection", starts, jordan=jordan)
-
-    try:
-        w = recover_conjugating_unitary(psi, kind, tol)
-    except ValueError:
-        return reject("unitary-recovery-failed", starts, jordan=jordan)
-
-    transpose_flag = kind is MapKind.ANTI
-    u_left = v @ w
-    v_right = adjoint(w)
-    rebuilt = from_left_right(u_left, v_right)
-    if transpose_flag:
-        rebuilt = compose(rebuilt, transpose_map(n))
-    rec = operator_norm(phi.matrix - rebuilt.matrix) / operator_norm(phi.matrix)
+    rho, kind, u_left, v_right, diff = min(candidates, key=lambda c: c[0])
     fields = dict(
-        jordan=jordan, kind=kind, u_left=u_left, v_right=v_right,
-        transpose_flag=transpose_flag, w=w, reconstruction_residual=rec,
+        kind=kind, u_left=u_left, v_right=v_right,
+        transpose_flag=kind is MapKind.ANTI, reconstruction_residual=rho,
     )
-    if tol.band(rec, n * n, n * n) is Band.PASS:
+    if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, n, n) is Band.PASS:
         return _certificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
-    return reject("reconstruction-mismatch", starts, **fields)
+    # column i + j n of the matrix is the image of E_ij
+    j, i = divmod(int(np.argmax(np.linalg.norm(diff, axis=0))), n)
+    return reject("reconstruction-mismatch", _pair_unitaries(n, (i, j)), **fields)
 
 
 def identity_residuals(

@@ -128,11 +128,10 @@ def transpose_map(n: int) -> SuperOperator:
     """The transpose A -> A^tr as a superoperator (the n^2 x n^2 swap matrix)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
+    j, i = np.divmod(np.arange(n * n), n)
     k = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            # vec(A^tr)[j + i*n] = A[i, j] = vec(A)[i + j*n]
-            k[j + i * n, i + j * n] = 1.0
+    # vec(A^tr)[j + i*n] = A[i, j] = vec(A)[i + j*n]
+    k[j + i * n, i + j * n] = 1.0
     return SuperOperator(n, n, k)
 
 
@@ -180,16 +179,13 @@ def direct_sum_embedding(
     if unitarity_defect(w) > tol.effective(size, size):
         raise ValueError("conjugator is not unitary within tolerance")
 
+    # E_ij lands at (i, j) of its diagonal block, or at (j, i) for a transpose block
+    j, i = np.divmod(np.arange(n * n), n)
+    off = n * np.arange(k)[:, None]
+    flip = np.array([kind is not BlockKind.ID for kind in kinds])[:, None]
+    r, c = off + np.where(flip, j, i), off + np.where(flip, i, j)
     block = np.zeros((size * size, n * n), dtype=np.complex128)
-    for b, kind in enumerate(kinds):
-        off = b * n
-        for i in range(n):
-            for j in range(n):
-                if kind is BlockKind.ID:
-                    r, c = off + i, off + j
-                else:
-                    r, c = off + j, off + i
-                block[r + c * size, i + j * n] = 1.0
+    block[r + c * size, i + j * n] = 1.0
     blocks = SuperOperator(n, size, block)
     return compose(from_left_right(w, w.conj().T), blocks)
 

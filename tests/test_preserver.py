@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitball import jordan
 from unitball.extremal import IsometryClass, classify_isometry
@@ -61,7 +62,7 @@ def test_identity_map_certificate():
     assert cert.v_unitarity_residual <= 1e-14
     assert np.allclose(cert.v, np.eye(3), atol=1e-14)
     assert np.allclose(cert.u_left @ cert.v_right, np.eye(3), atol=1e-12)
-    assert cert.jordan is not None and cert.jordan.is_jordan
+    assert cert.jordan is None
     assert cert.witness is None
 
 
@@ -98,7 +99,6 @@ def test_certified_factors_are_unitary():
     cert = classify_preserver(phi)
     assert unitarity_defect(cert.u_left) <= 1e-10
     assert unitarity_defect(cert.v_right) <= 1e-10
-    assert unitarity_defect(cert.w) <= 1e-10
     assert cert.kind is not MapKind.NONE
 
 
@@ -122,8 +122,8 @@ def test_trace_pinch_rejected_with_verified_witness():
     phi = trace_pinch_map(3)
     cert = classify_preserver(phi)
     assert cert.verdict is PreserverVerdict.NOT_PRESERVER
-    assert cert.reason == "jordan-identities-fail"
-    assert cert.jordan is not None and not cert.jordan.is_jordan
+    assert cert.reason == "reconstruction-mismatch"
+    assert cert.jordan is None
     # witness must be an honest unitary whose image fails the unitary test
     assert unitarity_defect(cert.witness) <= 1e-10
     image = apply(phi, cert.witness)
@@ -140,6 +140,16 @@ def test_nonunitary_image_of_identity_short_circuits():
     assert np.allclose(cert.witness, np.eye(2))
     # defect of diag(1, 1/2): ||diag(0, 3/4)|| = 3/4 exactly
     assert cert.v_unitarity_residual == pytest.approx(0.75, abs=1e-14)
+
+
+def test_unreadable_map_fails_recovery():
+    """A -> A[1, 1] I sends I to I but E_11 to 0, so neither form reads off."""
+    phi = SuperOperator(2, 2, np.outer(np.eye(2).flatten(order="F"), [0, 0, 0, 1]))
+    cert = classify_preserver(phi)
+    assert cert.verdict is PreserverVerdict.NOT_PRESERVER
+    assert cert.reason == "unitary-recovery-failed"
+    assert cert.u_left is None and cert.reconstruction_residual is None
+    assert unitarity_defect(apply(phi, cert.witness)) > 10 * DEFAULT_TOL.effective(2, 2)
 
 
 def test_uniformly_scaled_preserver_is_rejected():
@@ -196,8 +206,69 @@ def test_scaling_sweep_crosses_the_band_in_order(n, anti):
     ]
 
 
+def moved_column(phi, i, j, step):
+    """The map with the column of E_ij (index i + j n) moved by ``step``."""
+    n = phi.dim_in
+    matrix = phi.matrix.copy()
+    matrix[:, i + j * n] += step
+    return SuperOperator(n, n, matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    anti=st.booleans(),
+    seed=st.integers(0, 2**16),
+    log_f=st.floats(-1.0, 2.0),
+)
+def test_preserver_verdict_bounds_every_image(n, anti, seed, log_f):
+    """The Preserver gate is a bound: no unitary's image may leave the band."""
+    rng = np.random.default_rng(seed)
+    phi = from_left_right(haar_from_rng(n, rng), haar_from_rng(n, rng))
+    if anti:
+        phi = compose(phi, transpose_map(n))
+    teff = DEFAULT_TOL.effective(n, n)
+    g = complex_gaussian(n * n, 1, rng)[:, 0]
+    i, j = rng.integers(n, size=2)
+    phi = moved_column(phi, i, j, 10**log_f * teff * g / np.linalg.norm(g))
+    cert = classify_preserver(phi, seed=seed)
+    if cert.verdict is PreserverVerdict.PRESERVER:
+        for _ in range(32):
+            assert unitarity_defect(apply(phi, haar_from_rng(n, rng))) <= teff
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "factor,verdict",
+    [
+        (5.0, PreserverVerdict.INCONCLUSIVE),
+        (8.0, PreserverVerdict.NOT_PRESERVER),
+        (12.0, PreserverVerdict.NOT_PRESERVER),
+    ],
+)
+def test_moved_unit_column_is_not_certified(seed, factor, verdict):
+    """Move the E_12 column of a preserver at n = 12 by d = factor * tol_eff
+    along its own image.  The worst image of a unitary then misses
+    unitarity by 2d + d^2, at exp(i pi/2 (E_12 + E_21)).  At factor 5 that
+    is 10 tol_eff up to second order, so the search finds no witness; 8 and
+    12 must be rejected with one."""
+    n = 12
+    rng = np.random.default_rng(seed)
+    u0, v0 = haar_from_rng(n, rng), haar_from_rng(n, rng)
+    teff = DEFAULT_TOL.effective(n, n)
+    step = factor * teff * (u0[:, [0]] @ v0[[1], :]).flatten(order="F")
+    phi = moved_column(from_left_right(u0, v0), 0, 1, step)
+    cert = classify_preserver(phi, seed=seed)
+    assert cert.verdict is verdict
+    assert cert.reason == "reconstruction-mismatch"
+    if verdict is PreserverVerdict.NOT_PRESERVER:
+        assert unitarity_defect(cert.witness) <= 1e-10
+        assert unitarity_defect(apply(phi, cert.witness)) > 10 * teff
+
+
 @pytest.mark.parametrize("label", ["hom", "anti", "pinch", "mixed"])
 def test_jordan_core_runs_once_per_call(label, monkeypatch):
+    """The core never runs for a square map, and once for a rectangular one."""
     phi = {
         "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=1)),
         "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=2)),
@@ -215,8 +286,8 @@ def test_jordan_core_runs_once_per_call(label, monkeypatch):
 
     monkeypatch.setattr(jordan, "_jordan_core", counted)
     cert = classify_preserver(phi)
-    assert cert.jordan is not None
-    assert len(calls) == 1
+    assert (cert.jordan is not None) == (label == "mixed")
+    assert len(calls) == (1 if label == "mixed" else 0)
 
 
 # --------------------------------------------------- out-of-scope inputs
