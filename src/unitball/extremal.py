@@ -77,7 +77,7 @@ class StarAlgebraBasis:
     contain the identity, all within tolerance.
     """
 
-    def __init__(self, elements, tol: Tolerance = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
         elems = tuple(as_matrix(e) for e in elements)
         if not elems:
             raise ValueError("basis needs at least one element")
@@ -88,8 +88,7 @@ class StarAlgebraBasis:
         self.n = n
         self.elements: Sequence[np.ndarray] = elems
         self.is_full = False
-        if validate:
-            self._validate(tol)
+        self._validate(tol)
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebraBasis":

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Band, Tolerance, null_space_projection
-from .superop import SuperOperator, compose, transpose_map
+from .superop import SuperOperator
 
 __all__ = [
     "MapKind",
@@ -113,7 +113,7 @@ def _central_split(report: JordanReport, images, prod, tol: Tolerance) -> Jordan
     hom_defect = -prod.copy()
     for j in range(n):
         hom_defect[:, j, j, :] += images
-    e_proj = null_space_projection([hom_defect.reshape(-1, m)], tol)
+    e_proj = null_space_projection(hom_defect.reshape(-1, m), tol)
 
     eye = np.eye(m, dtype=np.complex128)
     hd = hom_defect.reshape(-1, m, m)
@@ -188,45 +188,44 @@ def jordan_structure(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Jordan
 
 
 def recover_conjugating_unitary(
-    psi: SuperOperator,
+    phi: SuperOperator,
     kind: MapKind,
     tol: Tolerance = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Recover w with psi(A) = w A w* (Hom) or psi(A) = w A^tr w* (Anti).
+    """Read off U with phi(A) = U A V (Hom) or phi(A) = U A^tr V (Anti).
 
-    Standard matrix-unit reconstruction: the image of E_11 is a rank-one
-    projection onto span(w e_1); pick its top singular vector v, then
-    column i of w is the image of E_i1 applied to v.  The phase gauge is
+    Matrix-unit reconstruction straight from the images of phi: the image
+    of E_11 (of E_11 after the transpose for Anti, which only swaps the
+    matrix-unit indices) is the rank-one u_1 r_1, with u_1 the first column
+    of U and r_1 the first row of V.  Its top right singular vector b is
+    r_1* up to phase, so column i of U is the image of E_i1 applied to b.
+    For psi(A) = w A w* this is w.  The result is U up to a global phase,
     fixed by making the first nonzero entry of the first column real
-    positive; the 1e-8 relative cutoff only picks which entry that is,
-    i.e. a global phase of w, which cancels in w A w* and so in every
-    verdict.  For the Anti kind the map is pre-composed with the transpose
-    so the same construction applies.
+    positive; the 1e-8 relative cutoff only picks which entry that is, a
+    phase that cancels in U A U* and so in every verdict.
     """
-    n = psi.dim_in
-    if psi.dim_out != n:
+    n = phi.dim_in
+    if phi.dim_out != n:
         raise ValueError(
-            f"unitary recovery needs an endomorphism, got M_{psi.dim_in} -> M_{psi.dim_out}"
+            f"unitary recovery needs an endomorphism, got M_{phi.dim_in} -> M_{phi.dim_out}"
         )
+    images = phi.images_of_matrix_units()
     if kind is MapKind.ANTI:
-        psi = compose(psi, transpose_map(n))
+        images = images.transpose(1, 0, 2, 3)
     elif kind not in (MapKind.HOM, MapKind.COMMUTATIVE):
         raise ValueError(f"cannot recover a conjugating unitary for kind {kind}")
 
-    images = psi.images_of_matrix_units()
-    f11 = images[0, 0]
-    u, s, _ = np.linalg.svd(f11)
+    _, s, vh = np.linalg.svd(images[0, 0])
     if s[0] <= tol.effective(n, n):
         raise ValueError(
             "image of E_11 is numerically rank deficient; input is not an automorphism"
         )
-    v0 = u[:, 0]
-    w = np.column_stack([images[i, 0] @ v0 for i in range(n)])
+    u = (images[:, 0] @ vh[0].conj()).T
 
-    col = w[:, 0]
+    col = u[:, 0]
     mags = np.abs(col)
     peak = float(mags.max())
     if peak == 0.0:
         raise ValueError("first recovered column vanished; input is not an automorphism")
     lead = int(np.argmax(mags > 1e-8 * peak))
-    return w * (mags[lead] / col[lead])
+    return u * (mags[lead] / col[lead])

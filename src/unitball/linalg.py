@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -150,33 +149,19 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     return haar_from_rng(n, np.random.default_rng(seed))
 
 
-def null_space_projection(
-    ms: Sequence[np.ndarray],
-    tol: Tolerance = DEFAULT_TOL,
-    dim: int | None = None,
-) -> np.ndarray:
-    """Orthogonal projection onto the common kernel of the given matrices.
+def null_space_projection(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthogonal projection onto the kernel of ``a``.
 
-    All matrices must share a column count ``m``; the projection is computed
-    from the SVD of the vertical stack, counting singular values below the
-    effective tolerance as zero.  An empty family means "no constraints" and
-    yields the identity, but then ``dim`` must be supplied.
+    Computed from the SVD of ``a``, counting singular values below the
+    effective tolerance as zero.
     """
-    ms = [as_matrix(m) for m in ms]
-    if not ms:
-        if dim is None:
-            raise ValueError("empty family: pass dim to get the identity projection")
-        return np.eye(dim, dtype=np.complex128)
-    cols = {m.shape[1] for m in ms}
-    if len(cols) != 1:
-        raise ValueError(f"matrices must share a column count, got {sorted(cols)}")
-    stacked = np.vstack(ms)
-    # Thin SVD already carries the complete row space of V when the stack is
+    a = as_matrix(a)
+    # Thin SVD already carries the complete row space of V when ``a`` is
     # tall; the full decomposition is only needed (and only cheap) when it is
     # wide, where thin V would miss the kernel directions.
-    wide = stacked.shape[0] < stacked.shape[1]
-    _, s, vh = np.linalg.svd(stacked, full_matrices=wide)
-    cutoff = tol.effective(*stacked.shape)
+    wide = a.shape[0] < a.shape[1]
+    _, s, vh = np.linalg.svd(a, full_matrices=wide)
+    cutoff = tol.effective(*a.shape)
     rank = int(np.count_nonzero(s > cutoff))
     null_basis = vh[rank:].conj().T
     return null_basis @ null_basis.conj().T

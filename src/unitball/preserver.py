@@ -3,10 +3,12 @@
 A linear map on M_n preserves the extreme points of the unit ball exactly
 when it sends every unitary to a unitary, and every such map factors as
 A -> U A V or A -> U A^tr V with U, V unitary.  So the decision reads U
-and V off the images of I and of the matrix units, once for each form,
-rebuilds the map exactly unitary, and lets one number decide: the
-residual rho = ||S - R|| between the input and rebuilt superoperator
-matrices, which bounds how far any unitary's image can be from unitary.
+straight off the map's images of the matrix units and V off its image of
+I, once for each form, rebuilds the map exactly unitary as the Kronecker
+product V^tr kron U (its columns permuted for the transpose form), and
+lets one number decide: the residual rho = ||S - R|| between the input
+and rebuilt superoperator matrices, which bounds how far any unitary's
+image can be from unitary.
 A rejection rests on one object, a witness unitary.  A seeded sampling
 falsifier provides an independent probabilistic cross-check of the same
 property.
@@ -36,7 +38,7 @@ from .linalg import (
     unitarity_defect,
     unitary_exp,
 )
-from .superop import SuperOperator, apply, compose, from_left_right, left_multiplier, transpose_map
+from .superop import SuperOperator, apply, left_multiplier, transpose_index
 
 __all__ = [
     "PreserverVerdict",
@@ -182,12 +184,14 @@ def classify_preserver(
     """Decide whether a map M_n -> M_n sends unitaries to unitaries.
 
     Steps: (1) v = image of I must be unitary; (2) for each kind the
-    theorem allows (Hom and Anti, or Commutative at n = 1) the conjugating
-    unitary w of psi = v* . phi is read off the matrix units, and the map
-    A -> u_left A v_right (transpose first for Anti), with u_left the polar
-    factor of v w and v_right = w*, is rebuilt exactly unitary; (3) the
-    candidate with the smaller rho = ||S - R|| (operator norm of the
-    difference of the superoperator matrices) is kept.  Since
+    theorem allows (Hom and Anti, or Commutative at n = 1) u_left is the
+    polar factor of the left factor U that ``recover_conjugating_unitary``
+    reads off phi's images of the matrix units, v_right is the polar factor
+    of u_left* v, and the map A -> u_left A v_right (transpose first for
+    Anti) is rebuilt exactly unitary as kron(v_right^tr, u_left), its
+    columns permuted by the swap for Anti; (3) the candidate with the
+    smaller rho = ||S - R|| (operator norm of the difference of the
+    superoperator matrices) is kept.  Since
     ||vec A|| = sqrt(n) for a unitary A, every image misses unitarity by at
     most 2 sqrt(n) rho + n rho^2; Preserver needs that bound to pass
     ``tol.band`` at n x n, so no unitary can contradict a Preserver.  An
@@ -231,18 +235,18 @@ def classify_preserver(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason="image-of-identity-in-band"
         )
 
-    psi = left_multiplier(adjoint(v), phi)
     candidates = []
     for kind in (MapKind.COMMUTATIVE,) if n == 1 else (MapKind.HOM, MapKind.ANTI):
         try:
-            w = polar_unitary(recover_conjugating_unitary(psi, kind, tol))[0]
+            u_left = polar_unitary(recover_conjugating_unitary(phi, kind, tol))[0]
         except ValueError:
             continue
-        u_left, v_right = polar_unitary(v @ w)[0], adjoint(w)
-        rebuilt = from_left_right(u_left, v_right)
+        v_right = polar_unitary(adjoint(u_left) @ v)[0]
+        # column i + j n of kron(v_right^tr, u_left) is vec(u_left E_ij v_right)
+        rebuilt = np.kron(v_right.T, u_left)
         if kind is MapKind.ANTI:
-            rebuilt = compose(rebuilt, transpose_map(n))
-        diff = phi.matrix - rebuilt.matrix
+            rebuilt = rebuilt[:, transpose_index(n)]
+        diff = phi.matrix - rebuilt
         candidates.append((operator_norm(diff), kind, u_left, v_right, diff))
     if not candidates:
         return reject("unitary-recovery-failed")

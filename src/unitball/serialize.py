@@ -11,17 +11,16 @@ tools.
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .extremal import ExtremePointReport, ExtremeVerdict
-from .gen import InstanceKind, InstanceSpec
-from .jordan import JordanReport, MapKind
+from .extremal import ExtremePointReport
+from .gen import InstanceSpec
+from .jordan import JordanReport
 from .linalg import RNG_NAME, Tolerance, as_matrix
-from .preserver import PreserverCertificate, PreserverVerdict
+from .preserver import PreserverCertificate
 from .superop import SuperOperator
 
 __all__ = [
@@ -33,15 +32,10 @@ __all__ = [
     "superop_from_obj",
     "algebra_elements_from_obj",
     "tolerance_to_obj",
-    "tolerance_from_obj",
     "extreme_report_to_obj",
-    "extreme_report_from_obj",
     "jordan_report_to_obj",
-    "jordan_report_from_obj",
     "certificate_to_obj",
-    "certificate_from_obj",
     "instance_spec_to_obj",
-    "instance_spec_from_obj",
     "load_json",
     "save_json",
     "dump_json",
@@ -91,14 +85,6 @@ def _as_int(x, context: str) -> int:
     return x
 
 
-def _as_float(x, context: str) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise FormatError(f"{context}: expected a number, got {x!r}")
-    if not math.isfinite(x):
-        raise FormatError(f"{context}: non-finite number")
-    return float(x)
-
-
 def matrix_to_obj(a: np.ndarray) -> dict:
     a = as_matrix(a)
     rows, cols = a.shape
@@ -139,10 +125,6 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
 
 def _opt_matrix_to_obj(a: np.ndarray | None):
     return None if a is None else matrix_to_obj(a)
-
-
-def _opt_matrix_from_obj(obj):
-    return None if obj is None else matrix_from_obj(obj)
 
 
 def superop_to_obj(phi: SuperOperator) -> dict:
@@ -188,13 +170,6 @@ def tolerance_to_obj(tol: Tolerance) -> dict:
     return {"abs": tol.abs, "dimension_scaling": tol.dimension_scaling}
 
 
-def tolerance_from_obj(obj: Any) -> Tolerance:
-    return Tolerance(
-        abs=_as_float(_require(obj, "abs", "tolerance"), "tolerance.abs"),
-        dimension_scaling=bool(_require(obj, "dimension_scaling", "tolerance")),
-    )
-
-
 def extreme_report_to_obj(r: ExtremePointReport) -> dict:
     return {
         "verdict": r.verdict.value,
@@ -205,21 +180,6 @@ def extreme_report_to_obj(r: ExtremePointReport) -> dict:
         "margin": r.margin,
         "witness_index": r.witness_index,
     }
-
-
-def extreme_report_from_obj(obj: Any) -> ExtremePointReport:
-    witness = obj.get("witness_index")
-    return ExtremePointReport(
-        defect_left=_as_float(_require(obj, "defect_left", "report"), "defect_left"),
-        defect_right=_as_float(_require(obj, "defect_right", "report"), "defect_right"),
-        is_partial_isometry=bool(_require(obj, "is_partial_isometry", "report")),
-        kadison_residual=_as_float(
-            _require(obj, "kadison_residual", "report"), "kadison_residual"
-        ),
-        verdict=ExtremeVerdict(_require(obj, "verdict", "report")),
-        margin=_as_float(_require(obj, "margin", "report"), "margin"),
-        witness_index=None if witness is None else _as_int(witness, "witness_index"),
-    )
 
 
 def jordan_report_to_obj(r: JordanReport) -> dict:
@@ -236,25 +196,6 @@ def jordan_report_to_obj(r: JordanReport) -> dict:
         "r_central": r.r_central,
         "worst_square_pair": list(r.worst_square_pair) if r.worst_square_pair else None,
     }
-
-
-def jordan_report_from_obj(obj: Any) -> JordanReport:
-    pair = obj.get("worst_square_pair")
-    return JordanReport(
-        r_square=_as_float(_require(obj, "r_square", "jordan"), "r_square"),
-        r_star=_as_float(_require(obj, "r_star", "jordan"), "r_star"),
-        r_unital=_as_float(_require(obj, "r_unital", "jordan"), "r_unital"),
-        is_jordan=bool(_require(obj, "is_jordan", "jordan")),
-        e=_opt_matrix_from_obj(obj.get("e")),
-        p=_as_int(_require(obj, "p", "jordan"), "p"),
-        q=_as_int(_require(obj, "q", "jordan"), "q"),
-        r_hom=None if obj.get("r_hom") is None else _as_float(obj["r_hom"], "r_hom"),
-        r_anti=None if obj.get("r_anti") is None else _as_float(obj["r_anti"], "r_anti"),
-        r_central=None
-        if obj.get("r_central") is None
-        else _as_float(obj["r_central"], "r_central"),
-        worst_square_pair=None if pair is None else tuple(_as_int(x, "pair") for x in pair),
-    )
 
 
 def certificate_to_obj(c: PreserverCertificate) -> dict:
@@ -276,29 +217,6 @@ def certificate_to_obj(c: PreserverCertificate) -> dict:
     }
 
 
-def certificate_from_obj(obj: Any) -> PreserverCertificate:
-    rec = obj.get("reconstruction_residual")
-    wd = obj.get("witness_defect")
-    return PreserverCertificate(
-        verdict=PreserverVerdict(_require(obj, "verdict", "certificate")),
-        v=matrix_from_obj(_require(obj, "v", "certificate")),
-        v_unitarity_residual=_as_float(
-            _require(obj, "v_unitarity_residual", "certificate"), "v_unitarity_residual"
-        ),
-        jordan=None if obj.get("jordan") is None else jordan_report_from_obj(obj["jordan"]),
-        kind=MapKind(_require(obj, "kind", "certificate")),
-        u_left=_opt_matrix_from_obj(obj.get("u_left")),
-        v_right=_opt_matrix_from_obj(obj.get("v_right")),
-        transpose_flag=bool(_require(obj, "transpose_flag", "certificate")),
-        w=_opt_matrix_from_obj(obj.get("w")),
-        reconstruction_residual=None if rec is None else _as_float(rec, "reconstruction"),
-        witness=_opt_matrix_from_obj(obj.get("witness")),
-        witness_defect=None if wd is None else _as_float(wd, "witness_defect"),
-        seed=_as_int(_require(obj, "seed", "certificate"), "seed"),
-        reason=str(obj.get("reason", "")),
-    )
-
-
 def instance_spec_to_obj(spec: InstanceSpec) -> dict:
     return {
         "n": spec.n,
@@ -308,17 +226,6 @@ def instance_spec_to_obj(spec: InstanceSpec) -> dict:
         "q": spec.q,
         "epsilon": spec.epsilon,
     }
-
-
-def instance_spec_from_obj(obj: Any) -> InstanceSpec:
-    return InstanceSpec(
-        n=_as_int(_require(obj, "n", "instance"), "instance.n"),
-        kind=InstanceKind(_require(obj, "kind", "instance")),
-        seed=_as_int(_require(obj, "seed", "instance"), "instance.seed"),
-        p=_as_int(obj.get("p", 0), "instance.p"),
-        q=_as_int(obj.get("q", 0), "instance.q"),
-        epsilon=_as_float(obj.get("epsilon", 0.0), "instance.epsilon"),
-    )
 
 
 def run_info(tol: Tolerance, seed: int | None, wall_time_s: float) -> dict:

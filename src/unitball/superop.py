@@ -32,6 +32,7 @@ __all__ = [
     "apply",
     "identity_map",
     "from_left_right",
+    "transpose_index",
     "transpose_map",
     "compose",
     "left_multiplier",
@@ -124,14 +125,19 @@ def from_left_right(u: np.ndarray, v: np.ndarray) -> SuperOperator:
     return SuperOperator(n, m, np.kron(v.T, u))
 
 
+def transpose_index(n: int) -> np.ndarray:
+    """The swap permutation p with vec(A^tr) = vec(A)[p], an involution."""
+    j, i = np.divmod(np.arange(n * n), n)
+    # vec(A^tr)[i + j*n] = A[j, i] = vec(A)[j + i*n]
+    return j + i * n
+
+
 def transpose_map(n: int) -> SuperOperator:
     """The transpose A -> A^tr as a superoperator (the n^2 x n^2 swap matrix)."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    j, i = np.divmod(np.arange(n * n), n)
     k = np.zeros((n * n, n * n), dtype=np.complex128)
-    # vec(A^tr)[j + i*n] = A[i, j] = vec(A)[i + j*n]
-    k[j + i * n, i + j * n] = 1.0
+    k[np.arange(n * n), transpose_index(n)] = 1.0
     return SuperOperator(n, n, k)
 
 

@@ -206,26 +206,42 @@ def test_recover_identity():
     assert np.allclose(w, np.eye(4), atol=1e-12)
 
 
-@pytest.mark.parametrize("seed", [3, 14, 15])
-def test_recover_hom_conjugation_map_level(seed):
+def same_up_to_phase(w, u, atol=1e-10):
+    """w = c u for some |c| = 1."""
+    c = np.vdot(u[:, 0], w[:, 0])
+    return abs(abs(c) - 1) <= atol and operator_norm(w - c * u) <= atol
+
+
+@pytest.mark.parametrize(
+    "seed,unital",
+    [(3, True), (14, True), (15, True), (16, False), (17, False)],
+    ids=["3", "14", "15", "nonunital-16", "nonunital-17"],
+)
+def test_recover_hom_conjugation_map_level(seed, unital):
     """Recovery is only unique up to a global phase, so compare at the map
-    level where the phase cancels."""
+    level where the phase cancels; for A -> U A V it returns U up to phase."""
     n = 5
     w0 = haar_unitary(n, seed)
-    psi = from_left_right(w0, w0.conj().T)
+    v0 = w0.conj().T if unital else haar_unitary(n, seed + 100)
+    psi = from_left_right(w0, v0)
     w = recover_conjugating_unitary(psi, MapKind.HOM)
     assert unitarity_defect(w) <= 1e-10
-    rebuilt = from_left_right(w, w.conj().T)
-    assert operator_norm(rebuilt.matrix - psi.matrix) <= 1e-10
+    assert same_up_to_phase(w, w0)
+    if unital:
+        rebuilt = from_left_right(w, w.conj().T)
+        assert operator_norm(rebuilt.matrix - psi.matrix) <= 1e-10
 
 
 def test_recover_anti_conjugation():
+    """Unital A -> w A^tr w*, and A -> U A^tr V for which U comes back up to phase."""
     n = 4
     w0 = haar_unitary(n, 8)
     psi = compose(from_left_right(w0, w0.conj().T), transpose_map(n))
     w = recover_conjugating_unitary(psi, MapKind.ANTI)
     rebuilt = compose(from_left_right(w, w.conj().T), transpose_map(n))
     assert operator_norm(rebuilt.matrix - psi.matrix) <= 1e-10
+    phi = compose(from_left_right(w0, haar_unitary(n, 9)), transpose_map(n))
+    assert same_up_to_phase(recover_conjugating_unitary(phi, MapKind.ANTI), w0)
 
 
 def test_recover_gauge_first_entry_real_positive():

@@ -198,14 +198,14 @@ def test_haar_rejects_bad_dimension():
 def test_null_space_projection_known_kernel():
     # rows kill e0 and e1, so the kernel is span{e2} exactly
     m = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
-    p = null_space_projection([m])
+    p = null_space_projection(m)
     assert np.allclose(p, np.diag([0, 0, 1]), atol=1e-12)
 
 
 def test_null_space_projection_common_kernel_of_two():
     a = np.array([[1, 0, 0, 0]], dtype=complex)
     b = np.array([[0, 1, 1, 0]], dtype=complex)
-    p = null_space_projection([a, b])
+    p = null_space_projection(np.vstack([a, b]))
     # kernel is span{(0,1,-1,0)/sqrt2, e3}
     assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
     assert operator_norm(a @ p) < 1e-12
@@ -218,21 +218,10 @@ def test_null_space_projection_common_kernel_of_two():
 def test_null_space_projection_random_annihilates(rows, cols):
     rng = np.random.default_rng(rows * 31 + cols)
     a = random_matrix(rng, rows, cols)
-    p = null_space_projection([a])
+    p = null_space_projection(a)
     assert operator_norm(a @ p) < 1e-10
     expected_rank = cols - min(rows, cols)
     assert np.trace(p).real == pytest.approx(expected_rank, abs=1e-9)
-
-
-def test_null_space_projection_empty_family_needs_dim():
-    assert np.array_equal(null_space_projection([], dim=3), np.eye(3))
-    with pytest.raises(ValueError):
-        null_space_projection([])
-
-
-def test_null_space_projection_rejects_mixed_widths():
-    with pytest.raises(ValueError):
-        null_space_projection([np.zeros((2, 3)), np.zeros((2, 4))])
 
 
 # ----------------------------------------------- defects and projections

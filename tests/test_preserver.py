@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitball import jordan
+from unitball import jordan, preserver, superop
 from unitball.extremal import IsometryClass, classify_isometry
 from unitball.gen import InstanceKind, InstanceSpec, generate, trace_pinch_map
 from unitball.jordan import MapKind
@@ -288,6 +288,40 @@ def test_jordan_core_runs_once_per_call(label, monkeypatch):
     cert = classify_preserver(phi)
     assert (cert.jordan is not None) == (label == "mixed")
     assert len(calls) == (1 if label == "mixed" else 0)
+
+
+@pytest.mark.parametrize("label", ["hom", "anti", "pinch", "contraction"])
+def test_square_path_builds_no_superoperator(label, monkeypatch):
+    """A square map is read off its own matrix: no SuperOperator is built
+    and neither compose nor left_multiplier runs."""
+    phi = {
+        "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=1)),
+        "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=2)),
+        "pinch": lambda: trace_pinch_map(4),
+        "contraction": lambda: generate(
+            InstanceSpec(n=4, kind=InstanceKind.RANDOM_CONTRACTION, seed=3)
+        ),
+    }[label]()
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SuperOperator, "__post_init__", counted("SuperOperator", SuperOperator.__post_init__)
+    )
+    for module in (superop, jordan, preserver):
+        for name in ("compose", "left_multiplier"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cert = classify_preserver(phi)
+    certified = cert.verdict is PreserverVerdict.PRESERVER
+    assert certified == (label in ("hom", "anti"))
+    assert calls == []
 
 
 # --------------------------------------------------- out-of-scope inputs

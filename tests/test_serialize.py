@@ -1,18 +1,27 @@
 """File format tests.  Round-trips must be bit-exact: a parsed serialization
-compares equal entry by entry, with no tolerance."""
+compares equal entry by entry, with no tolerance.  Reports are written,
+never read back, so their tests check the JSON text the writers emit."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from unitball import serialize as ser
-from unitball.extremal import ExtremeVerdict, StarAlgebraBasis, kadison_extreme_test
-from unitball.gen import InstanceKind, InstanceSpec
+from unitball.extremal import StarAlgebraBasis, kadison_extreme_test
+from unitball.gen import InstanceKind, InstanceSpec, trace_pinch_map
 from unitball.jordan import stormer_split
-from unitball.linalg import Tolerance, complex_gaussian, haar_unitary, matrix_unit
+from unitball.linalg import (
+    Tolerance,
+    complex_gaussian,
+    haar_unitary,
+    matrix_unit,
+    operator_norm,
+    unitarity_defect,
+)
 from unitball.preserver import classify_preserver
-from unitball.superop import from_left_right, identity_map, transpose_map, compose
+from unitball.superop import apply, compose, from_left_right, identity_map, transpose_map
 
 
 def roundtrip(obj):
@@ -131,66 +140,70 @@ def test_algebra_document_shape_mismatch():
 
 def test_tolerance_round_trip():
     tol = Tolerance(abs=3e-7, dimension_scaling=False)
-    back = ser.tolerance_from_obj(roundtrip(ser.tolerance_to_obj(tol)))
-    assert back == tol
+    obj = roundtrip(ser.tolerance_to_obj(tol))
+    assert obj == {"abs": 3e-7, "dimension_scaling": False}
+    assert Tolerance(**obj) == tol
 
 
 def test_extreme_report_round_trip():
     rep = kadison_extreme_test(matrix_unit(2, 0, 0), StarAlgebraBasis.full(2))
-    back = ser.extreme_report_from_obj(roundtrip(ser.extreme_report_to_obj(rep)))
-    assert back == rep
-    assert back.verdict is ExtremeVerdict.NOT_EXTREME
+    obj = roundtrip(ser.extreme_report_to_obj(rep))
+    assert obj == {**asdict(rep), "verdict": "NotExtreme"}
 
 
 def test_jordan_report_round_trip():
     rep = stormer_split(transpose_map(3))
     obj = roundtrip(ser.jordan_report_to_obj(rep))
-    back = ser.jordan_report_from_obj(obj)
-    assert np.array_equal(back.e, rep.e)
-    assert (back.p, back.q) == (rep.p, rep.q)
-    assert back.r_square == rep.r_square
-    assert back.r_hom == rep.r_hom and back.r_anti == rep.r_anti
-    assert back.worst_square_pair == rep.worst_square_pair
+    assert np.array_equal(ser.matrix_from_obj(obj["e"]), rep.e)
+    assert (obj["p"], obj["q"]) == (rep.p, rep.q) == (0, 1)
+    assert obj["r_square"] == rep.r_square and obj["is_jordan"] is True
+    assert obj["r_hom"] == rep.r_hom and obj["r_anti"] == rep.r_anti
+    assert obj["r_central"] == rep.r_central
+    assert obj["worst_square_pair"] == list(rep.worst_square_pair)
 
 
 def test_certificate_round_trip_positive_case():
+    n = 3
     phi = compose(
-        from_left_right(haar_unitary(3, 5), haar_unitary(3, 6)), transpose_map(3)
+        from_left_right(haar_unitary(n, 5), haar_unitary(n, 6)), transpose_map(n)
     )
     cert = classify_preserver(phi, seed=9)
-    back = ser.certificate_from_obj(roundtrip(ser.certificate_to_obj(cert)))
-    assert back.verdict is cert.verdict
-    assert back.kind is cert.kind
-    assert back.transpose_flag == cert.transpose_flag
-    assert back.seed == cert.seed
-    assert back.reconstruction_residual == cert.reconstruction_residual
-    assert np.array_equal(back.v, cert.v)
-    assert np.array_equal(back.u_left, cert.u_left)
-    assert np.array_equal(back.v_right, cert.v_right)
-    assert back.witness is None and back.witness_defect is None
-    assert back.jordan is None and back.w is None
+    obj = roundtrip(ser.certificate_to_obj(cert))
+    assert (obj["verdict"], obj["kind"], obj["transpose_flag"]) == ("Preserver", "Anti", True)
+    assert obj["seed"] == 9
+    assert obj["reconstruction_residual"] == cert.reconstruction_residual
+    assert np.array_equal(ser.matrix_from_obj(obj["v"]), cert.v)
+    # the emitted factors rebuild the input map
+    rebuilt = compose(
+        from_left_right(ser.matrix_from_obj(obj["u_left"]), ser.matrix_from_obj(obj["v_right"])),
+        transpose_map(n),
+    )
+    assert operator_norm(rebuilt.matrix - phi.matrix) <= 1e-12
+    assert obj["witness"] is None and obj["witness_defect"] is None
+    assert obj["jordan"] is None and obj["w"] is None
 
 
 def test_certificate_round_trip_negative_case():
-    from unitball.gen import trace_pinch_map
-
-    cert = classify_preserver(trace_pinch_map(2), seed=4)
-    back = ser.certificate_from_obj(roundtrip(ser.certificate_to_obj(cert)))
-    assert back.verdict is cert.verdict
-    assert np.array_equal(back.witness, cert.witness)
-    assert back.witness_defect == cert.witness_defect
-    assert back.reason == cert.reason
-    assert back.kind is cert.kind
-    assert back.reconstruction_residual == cert.reconstruction_residual
-    assert np.array_equal(back.u_left, cert.u_left)
-    assert np.array_equal(back.v_right, cert.v_right)
-    assert back.w is None
+    phi = trace_pinch_map(2)
+    cert = classify_preserver(phi, seed=4)
+    obj = roundtrip(ser.certificate_to_obj(cert))
+    assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "reconstruction-mismatch")
+    witness = ser.matrix_from_obj(obj["witness"])
+    assert np.array_equal(witness, cert.witness)
+    assert obj["witness_defect"] == cert.witness_defect
+    assert obj["witness_defect"] == unitarity_defect(apply(phi, witness))
+    # the rejection carries its candidate
+    assert obj["kind"] == cert.kind.value
+    assert obj["reconstruction_residual"] == cert.reconstruction_residual
+    assert np.array_equal(ser.matrix_from_obj(obj["u_left"]), cert.u_left)
+    assert np.array_equal(ser.matrix_from_obj(obj["v_right"]), cert.v_right)
+    assert obj["w"] is None
 
 
 def test_instance_spec_round_trip():
     spec = InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=12, p=2, q=1)
-    back = ser.instance_spec_from_obj(roundtrip(ser.instance_spec_to_obj(spec)))
-    assert back == spec
+    obj = roundtrip(ser.instance_spec_to_obj(spec))
+    assert obj == {"n": 2, "kind": "mixed", "seed": 12, "p": 2, "q": 1, "epsilon": 0.0}
 
 
 def test_run_info_fields():
