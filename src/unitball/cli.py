@@ -25,6 +25,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__, serialize as ser
 from .extremal import ExtremeVerdict, StarAlgebraBasis, classify_isometry, kadison_extreme_test
 from .gen import InstanceKind, InstanceSpec, derive_seed, generate
@@ -255,6 +257,10 @@ def main(argv: list[str] | None = None) -> int:
     except ser.FormatError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except np.linalg.LinAlgError as exc:
+        # a ValueError too, but no fault of the arguments: no verdict was reached
+        print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ __all__ = [
     "polar_unitary",
     "haar_unitary",
     "haar_from_rng",
+    "haar_stack",
     "null_space_projection",
     "unitarity_defect",
     "nearest_projection",
@@ -128,18 +129,26 @@ def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, hermitian_part(p)
 
 
-def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary drawn from an existing generator.
+def haar_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries as a (count, n, n) stack.
 
-    QR of a complex Ginibre matrix, with the phase ambiguity fixed by
-    normalizing the diagonal of R to positive reals; without that correction
-    the distribution is not Haar.
+    QR of complex Ginibre matrices, with the phase ambiguity fixed by
+    normalizing the diagonal of each R to positive reals; without that
+    correction the distribution is not Haar.  The generator's stream is read
+    in the order of ``count`` separate draws (real part, then imaginary part,
+    per matrix), so the stack equals that many calls of
+    :func:`haar_from_rng` bit for bit.
     """
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    z = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
-    return q * ph
+    return q * ph[:, None, :]
+
+
+def haar_from_rng(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary drawn from an existing generator."""
+    return haar_stack(n, 1, rng)[0]
 
 
 def haar_unitary(n: int, seed: int) -> np.ndarray:
@@ -167,17 +176,21 @@ def null_space_projection(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.nda
     return null_basis @ null_basis.conj().T
 
 
-def unitarity_defect(a: np.ndarray) -> float:
+def unitarity_defect(a: np.ndarray) -> float | np.ndarray:
     """max(||a* a - I||, ||a a* - I||) for a square matrix; 0 iff unitary.
 
     For square ``a`` both products have the eigenvalues s_k^2 of the
     singular values, so the defect is max(|s_max^2 - 1|, |s_min^2 - 1|).
+    A (k, n, n) stack gets one batched SVD and an array of k defects, each
+    bit-identical to the defect of its matrix alone.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"unitarity defect needs a square matrix, got {a.shape}")
+    a = as_matrix(a) if np.ndim(a) == 2 else np.asarray(a, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"unitarity defect needs square matrices, got shape {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
-    return float(max(abs(s[0] * s[0] - 1.0), abs(s[-1] * s[-1] - 1.0)))
+    top, bottom = s[..., 0], s[..., -1]
+    defect = np.maximum(abs(top * top - 1.0), abs(bottom * bottom - 1.0))
+    return float(defect) if a.ndim == 2 else defect
 
 
 def nearest_projection(h: np.ndarray) -> np.ndarray:

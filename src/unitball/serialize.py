@@ -91,7 +91,7 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     return {
         "rows": rows,
         "cols": cols,
-        "entries": [[[z.real, z.imag] for z in row] for row in a],
+        "entries": np.stack([a.real, a.imag], axis=-1).tolist(),
     }
 
 

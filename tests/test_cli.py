@@ -293,6 +293,19 @@ def test_out_of_range_entry_is_data_error(tmp_path, capsys, number):
     assert "error" in err
 
 
+def test_numerical_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
+    path = write_superop(tmp_path, "id.json", identity_map(2))
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    code, out, err = run(capsys, "classify", path)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.count("\n") == 1 and "SVD did not converge" in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert run(capsys, )[0] == EXIT_USAGE
 

@@ -16,6 +16,7 @@ from unitball.linalg import (
     as_matrix,
     complex_gaussian,
     haar_from_rng,
+    haar_stack,
     haar_unitary,
     hermitian_part,
     matrix_unit,
@@ -187,6 +188,32 @@ def test_haar_entry_modulus_moment():
     assert abs(vals.mean() - 0.5) < 3 * sigma
 
 
+def sequential_haar(n, count, rng):
+    """One QR of one Ginibre matrix per draw, phases fixed one at a time."""
+    out = []
+    for _ in range(count):
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        out.append(q * (d / np.abs(d)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_haar_stack_matches_sequential_draws(n):
+    """A stack is the same bits as that many single draws, and leaves the
+    generator where they would."""
+    for count in range(1, 18):
+        seed = 100 * n + count
+        stack_rng, loop_rng, single_rng = (np.random.default_rng(seed) for _ in range(3))
+        stack = haar_stack(n, count, stack_rng)
+        assert stack.shape == (count, n, n)
+        assert stack.tobytes() == np.array(sequential_haar(n, count, loop_rng)).tobytes()
+        singles = np.array([haar_from_rng(n, single_rng) for _ in range(count)])
+        assert stack.tobytes() == singles.tobytes()
+        assert stack_rng.standard_normal() == loop_rng.standard_normal()
+
+
 def test_haar_rejects_bad_dimension():
     with pytest.raises(ValueError):
         haar_unitary(0, 1)
@@ -245,6 +272,20 @@ def test_unitarity_defect_matches_both_products(seed):
         power_iteration_norm(a.conj().T @ a - eye), power_iteration_norm(a @ a.conj().T - eye)
     )
     assert unitarity_defect(a) == pytest.approx(expected, abs=1e-10)
+
+
+def test_unitarity_defect_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(8)
+    stack = np.array(
+        [haar_from_rng(3, rng) * rng.uniform(0.5, 1.5, size=3) for _ in range(6)]
+    )
+    defects = unitarity_defect(stack)
+    assert defects.shape == (6,)
+    assert defects.tolist() == [unitarity_defect(a) for a in stack]
+    with pytest.raises(ValueError):
+        unitarity_defect(np.zeros((2, 2, 3)))
+    with pytest.raises(ValueError):
+        unitarity_defect(np.zeros((2, 2, 2, 2)))
 
 
 def test_nearest_projection_rounds_eigenvalues_at_half():

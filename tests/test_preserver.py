@@ -2,6 +2,7 @@
 re-verified from the raw map: reconstructions are applied to fresh random
 inputs and witnesses are re-run through the unitary test."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,10 +15,13 @@ from unitball.gen import InstanceKind, InstanceSpec, generate, trace_pinch_map
 from unitball.jordan import MapKind
 from unitball.linalg import (
     DEFAULT_TOL,
+    Band,
+    adjoint,
     complex_gaussian,
     haar_from_rng,
     haar_unitary,
     operator_norm,
+    polar_unitary,
     unitarity_defect,
 )
 from unitball.preserver import (
@@ -324,6 +328,155 @@ def test_square_path_builds_no_superoperator(label, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", [InstanceKind.HOM_PRESERVER, InstanceKind.ANTI_PRESERVER])
+def test_one_operator_norm_per_classify(kind, monkeypatch):
+    """The Frobenius screen skips the losing form's n^2 x n^2 SVD."""
+    phi = generate(InstanceSpec(n=5, kind=kind, seed=4))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return operator_norm(a)
+
+    monkeypatch.setattr(preserver, "operator_norm", counted)
+    cert = classify_preserver(phi)
+    assert cert.verdict is PreserverVerdict.PRESERVER
+    assert len(calls) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+    t=st.sampled_from([0.0, 1.0, 0.3, 0.5]),
+    log_d=st.floats(-9.0, 1.0),
+)
+def test_screen_keeps_the_candidate_of_both_svds(n, seed, t, log_d):
+    """On mixtures A -> U (t A + (1 - t) A^tr) V with one off-diagonal
+    column moved by d (so the image of I stays unitary), the kept form and
+    rho are those of taking every SVD.  A moved column is a rank-one
+    difference, whose Frobenius norm is its operator norm, so the form with
+    the smaller screen need not have the smaller rho."""
+    rng = np.random.default_rng(seed)
+    hom = from_left_right(haar_from_rng(n, rng), haar_from_rng(n, rng))
+    anti = compose(hom, transpose_map(n))
+    i, j = rng.choice(n, size=2, replace=False)
+    g = complex_gaussian(n * n, 1, rng)[:, 0]
+    mixture = SuperOperator(n, n, t * hom.matrix + (1 - t) * anti.matrix)
+    phi = moved_column(mixture, i, j, 10**log_d * g / np.linalg.norm(g))
+    cert = classify_preserver(phi, seed=seed)
+    if cert.reconstruction_residual is None:
+        return
+    v = apply(phi, np.eye(n))
+    rhos = {}
+    for kind in (MapKind.HOM, MapKind.ANTI):
+        try:
+            u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind, DEFAULT_TOL))[0]
+        except ValueError:
+            continue
+        rebuilt = from_left_right(u, polar_unitary(adjoint(u) @ v)[0])
+        if kind is MapKind.ANTI:
+            rebuilt = compose(rebuilt, transpose_map(n))
+        rhos[kind] = operator_norm(phi.matrix - rebuilt.matrix)
+    kept = min(rhos, key=rhos.get)
+    assert cert.reconstruction_residual == pytest.approx(rhos[kept], rel=1e-12, abs=1e-15)
+    if len(rhos) == 2 and abs(rhos[MapKind.HOM] - rhos[MapKind.ANTI]) > 1e-12 * rhos[kept]:
+        assert cert.kind is kept
+
+
+# ------------------------------------------- witness search in stacks
+
+
+def sequential_samples(n, count, seed):
+    """Haar samples drawn one at a time, each from its own QR."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        yield q * (d / np.abs(d))
+
+
+def sequential_first_witness(phi, candidates):
+    """Score candidates one at a time: (index, witness, defect) of the first
+    image beyond 10 tol_eff, or three Nones."""
+    m = phi.dim_out
+    for index, u in enumerate(candidates):
+        s = np.linalg.svd(apply(phi, u), compute_uv=False)
+        defect = max(abs(s[0] * s[0] - 1.0), abs(s[-1] * s[-1] - 1.0))
+        if DEFAULT_TOL.band(defect, m, m) is Band.FAIL:
+            return index, u, defect
+    return None, None, None
+
+
+def moved_preserver(n, seed, factor):
+    """A hom preserver with its E_21 column moved by factor * tol_eff."""
+    rng = np.random.default_rng(seed)
+    phi = from_left_right(haar_from_rng(n, rng), haar_from_rng(n, rng))
+    g = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    return moved_column(phi, 1, 0, factor * DEFAULT_TOL.effective(n, n) * g / np.linalg.norm(g))
+
+
+def unit_column_preserver(factor):
+    """The n = 12 map of test_moved_unit_column_is_not_certified, seed 0:
+    only the structured start exp(i pi/2 (E_12 + E_21)) reaches its worst
+    image."""
+    n = 12
+    rng = np.random.default_rng(0)
+    u0, v0 = haar_from_rng(n, rng), haar_from_rng(n, rng)
+    step = factor * DEFAULT_TOL.effective(n, n) * (u0[:, [0]] @ v0[[1], :]).flatten(order="F")
+    phi = moved_column(from_left_right(u0, v0), 0, 1, step)
+    return phi, list(preserver._pair_unitaries(n, (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "case,sample_index,start_index",
+    [
+        ("first-sample", 0, None),
+        ("third-stack", 7, None),
+        ("fourth-stack", 24, None),
+        ("structured-start", None, 0),
+        ("none", None, None),
+    ],
+)
+def test_stacked_search_matches_sequential_scoring(case, sample_index, start_index):
+    """Stacks of 1, 4, 16, 64, ... find the witness a one-at-a-time loop
+    finds: the same index, the same bits and the same defect."""
+    starts, seed = [], 0
+    if case == "first-sample":
+        phi = from_left_right(np.diag([1.0, 0.5]).astype(complex), np.eye(2))
+    elif case == "third-stack":
+        phi = moved_preserver(3, 0, 10.0)
+    elif case == "fourth-stack":
+        phi, seed = moved_preserver(3, 9, 10.0), 9
+    else:
+        phi, starts = unit_column_preserver(8.0 if case == "structured-start" else 5.0)
+    n = phi.dim_in
+
+    index, witness, defect = sequential_first_witness(phi, sequential_samples(n, 100, seed))
+    assert index == sample_index
+    found = falsify_by_sampling(phi, trials=100, seed=seed)
+    if witness is None:
+        assert found is None
+    else:
+        assert found.tobytes() == witness.tobytes()
+
+    budget = preserver.WITNESS_SAMPLE_BUDGET
+    index, witness, defect = sequential_first_witness(
+        phi, itertools.chain(starts, sequential_samples(n, budget, seed))
+    )
+    expected = start_index if starts else sample_index
+    assert index == expected
+    if starts:
+        assert sequential_first_witness(phi, sequential_samples(n, budget, seed))[0] is None
+    found, found_defect = preserver._search_witness(phi, DEFAULT_TOL, seed, starts)
+    if witness is None:
+        assert found is None and found_defect is None
+    else:
+        assert found.tobytes() == witness.tobytes()
+        assert found_defect == defect
+
+
 # --------------------------------------------------- out-of-scope inputs
 
 
@@ -426,6 +579,59 @@ def test_identity_residuals_vanish_for_preservers():
             "jordan_unitary",
         }
         assert max(res.values()) <= 1e-12
+
+
+def identity_residuals_through_psi_map(phi, samples, seed):
+    """The audit evaluated with psi = v* . phi built as a superoperator."""
+    n = phi.dim_in
+    rng = np.random.default_rng(seed)
+    v = apply(phi, np.eye(n))
+    psi = superop.left_multiplier(adjoint(v), phi)
+    two_eye = 2 * np.eye(n)
+    out = dict.fromkeys(
+        ["hermitian_square", "polarized_product", "range_alignment", "jordan_unitary"], 0.0
+    )
+
+    def contraction():
+        g = complex_gaussian(n, n, rng)
+        return g / max(1.0, operator_norm(g))
+
+    def worst(key, residual):
+        out[key] = max(out[key], operator_norm(residual))
+
+    for _ in range(samples):
+        h = complex_gaussian(n, n, rng)
+        s = (h + h.conj().T) / 2
+        s = s / max(1.0, operator_norm(s))
+        fs = apply(phi, s)
+        worst("hermitian_square", adjoint(fs) @ fs - adjoint(v) @ apply(phi, s @ s))
+        a, b = contraction(), contraction()
+        lhs = adjoint(apply(phi, adjoint(a))) @ apply(phi, b)
+        lhs = lhs + adjoint(apply(phi, adjoint(b))) @ apply(phi, a)
+        worst("polarized_product", lhs - adjoint(v) @ apply(phi, a @ b + b @ a))
+        u = haar_from_rng(n, rng)
+        w = apply(phi, u)
+        worst(
+            "range_alignment",
+            adjoint(w) @ v @ adjoint(v) @ w + adjoint(v) @ w @ adjoint(w) @ v - two_eye,
+        )
+        pu = apply(psi, u)
+        worst("jordan_unitary", adjoint(pu) @ pu + pu @ adjoint(pu) - two_eye)
+    return out
+
+
+@pytest.mark.parametrize("label", ["hom", "anti", "pinch"])
+def test_identity_residuals_match_the_psi_map(label):
+    phi = {
+        "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=5)),
+        "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=6)),
+        "pinch": lambda: trace_pinch_map(4),
+    }[label]()
+    got = identity_residuals(phi, samples=20, seed=7)
+    expected = identity_residuals_through_psi_map(phi, samples=20, seed=7)
+    assert got.keys() == expected.keys()
+    for key in got:
+        assert got[key] == pytest.approx(expected[key], abs=1e-12)
 
 
 def test_identity_residuals_expose_trace_pinch():
