@@ -53,6 +53,8 @@ __all__ = [
 
 WITNESS_SAMPLE_BUDGET = 256
 _WITNESS_T_STEPS = (1.0, -1.0, 0.5, -0.5)
+# largest Haar stack scored at once, so memory does not grow with the budget
+_MAX_STACK = 64
 
 
 class PreserverVerdict(Enum):
@@ -123,17 +125,18 @@ def _pair_unitaries(n: int, unit):
 
 
 def _haar_samples(n: int, count: int, seed: int):
-    """``count`` seeded Haar unitaries, in stacks of 1, 4, 16, 64, ...
+    """``count`` seeded Haar unitaries, in stacks of 1, 4, 16, 64, 64, ...
 
     The first stack holds one sample, so a map refuted by its first sample
-    pays for one; later stacks grow fourfold, up to the budget.
+    pays for one; later stacks grow fourfold up to ``_MAX_STACK`` samples,
+    so any budget runs in memory independent of its size.
     """
     rng = np.random.default_rng(seed)
     size = 1
     while count > 0:
         yield haar_stack(n, min(size, count), rng)
         count -= size
-        size *= 4
+        size = min(4 * size, _MAX_STACK)
 
 
 def _first_witness(phi: SuperOperator, stacks, tol: Tolerance):
@@ -178,7 +181,8 @@ def falsify_by_sampling(
     times the effective tolerance.  At finite dimension the extreme points
     of the unit ball are exactly the unitaries, so a witness disproves the
     preserver property outright.  The samples are drawn and scored in
-    stacks of a fixed schedule, 1, 4, 16, 64, ... up to ``trials``; the
+    stacks of a fixed schedule, 1, 4, 16, then 64 at a time until
+    ``trials`` are spent, so memory does not grow with ``trials``; the
     draws, their order and the witness returned are those of a one-at-a-time
     loop over the same seeded stream.
     """

@@ -86,12 +86,14 @@ def _as_int(x, context: str) -> int:
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
-    a = as_matrix(a)
+    a = np.ascontiguousarray(as_matrix(a))
     rows, cols = a.shape
     return {
         "rows": rows,
         "cols": cols,
-        "entries": np.stack([a.real, a.imag], axis=-1).tolist(),
+        # a C-ordered complex128 array is its (real, imag) pairs, unpacked
+        # here without a copy
+        "entries": a.view(np.float64).reshape(rows, cols, 2).tolist(),
     }
 
 

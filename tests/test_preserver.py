@@ -4,6 +4,7 @@ inputs and witnesses are re-run through the unitary test."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,41 @@ def test_stacked_search_matches_sequential_scoring(case, sample_index, start_ind
     else:
         assert found.tobytes() == witness.tobytes()
         assert found_defect == defect
+
+
+def test_sample_stacks_are_capped(monkeypatch):
+    """A huge budget is drawn in stacks of 1, 4, 16 and then at most 64, so
+    memory does not grow with the budget; the sizes are read without
+    drawing any unitary."""
+    sizes = []
+
+    def sized(n, count, rng):
+        sizes.append(count)
+        return np.empty((count, 0, 0))
+
+    monkeypatch.setattr(preserver, "haar_stack", sized)
+    count = 10**6
+    for _ in preserver._haar_samples(3, count, 0):
+        pass
+    assert sizes[:5] == [1, 4, 16, 64, 64]
+    assert max(sizes) == 64
+    assert sum(sizes) == count
+
+
+def test_falsifier_memory_does_not_grow_with_trials():
+    """The peak traced memory of a falsifier run without a witness is the
+    same for 200 and 5000 trials."""
+    phi = from_left_right(haar_unitary(8, 1), haar_unitary(8, 2))
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            assert falsify_by_sampling(phi, trials=trials, seed=3) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(5000) < 1.5 * peak(200)
 
 
 # --------------------------------------------------- out-of-scope inputs

@@ -45,7 +45,7 @@ def test_matrix_bit_exact_round_trip():
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (12, 12)])
 def test_matrix_text_matches_an_entry_loop(shape):
     """The writer emits the text a loop over numpy scalar entries would,
-    signed zeros and subnormals included."""
+    signed zeros and subnormals included, for C-ordered and strided input."""
     rng = np.random.default_rng(shape[0] * shape[1])
     a = complex_gaussian(*shape, rng) * 10.0 ** rng.integers(-300, 300, size=shape)
     special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1.5]
@@ -54,13 +54,13 @@ def test_matrix_text_matches_an_entry_loop(shape):
         flat[k] = complex(special[k % len(special)], special[(3 * k + 1) % len(special)])
         if k == 2 * len(special):
             break
-    rows, cols = shape
-    looped = {
-        "rows": rows,
-        "cols": cols,
-        "entries": [[[z.real, z.imag] for z in row] for row in a],
-    }
-    assert ser.dump_json(ser.matrix_to_obj(a)) == ser.dump_json(looped)
+    for b in (a, a.T, a[::-1, ::2]):
+        looped = {
+            "rows": b.shape[0],
+            "cols": b.shape[1],
+            "entries": [[[z.real, z.imag] for z in row] for row in b],
+        }
+        assert ser.dump_json(ser.matrix_to_obj(b)) == ser.dump_json(looped)
 
 
 def test_matrix_schema_errors():
