@@ -39,7 +39,7 @@ from .linalg import (
     unitarity_defect,
     unitary_exp,
 )
-from .superop import SuperOperator, apply, left_multiplier, transpose_index
+from .superop import SuperOperator, apply, left_multiplier
 
 __all__ = [
     "PreserverVerdict",
@@ -266,33 +266,43 @@ def classify_preserver(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason="image-of-identity-in-band"
         )
 
-    candidates = []
+    def residual(kind, u_left, v_right) -> np.ndarray:
+        """S - R, built in the buffer of the rebuild R."""
+        # R is kron(a, b), whose column i + j n is vec(u_left E_ij v_right),
+        # as an (n, n, n, n) outer product; Anti swaps its two column indices.
+        a, b = v_right.T, u_left
+        if kind is MapKind.ANTI:
+            rebuilt = np.multiply(a[:, None, None, :], b[None, :, :, None])
+        else:
+            rebuilt = np.multiply(a[:, None, :, None], b[None, :, None, :])
+        rebuilt = rebuilt.reshape(n * n, n * n)
+        return np.subtract(phi.matrix, rebuilt, out=rebuilt)
+
+    # Only a Frobenius screen of each form is kept, so S - R is rebuilt for
+    # the forms whose SVD is taken and for the witness start.
+    candidates, screens = [], []
     for kind in (MapKind.COMMUTATIVE,) if n == 1 else (MapKind.HOM, MapKind.ANTI):
         try:
             u_left = polar_unitary(recover_conjugating_unitary(phi, kind, tol))[0]
         except ValueError:
             continue
         v_right = polar_unitary(adjoint(u_left) @ v)[0]
-        # column i + j n of kron(v_right^tr, u_left) is vec(u_left E_ij v_right)
-        rebuilt = np.kron(v_right.T, u_left)
-        if kind is MapKind.ANTI:
-            rebuilt = rebuilt[:, transpose_index(n)]
-        diff = phi.matrix - rebuilt
-        candidates.append((kind, u_left, v_right, diff))
+        candidates.append((kind, u_left, v_right))
+        # ||X||_F / n <= ||X||_2 on n^2 x n^2 matrices
+        screens.append(np.linalg.norm(residual(kind, u_left, v_right)) / n)
     if not candidates:
         return reject("unitary-recovery-failed")
 
-    # ||X||_F / n <= ||X||_2 on n^2 x n^2 matrices; the margin 1e-8 covers
-    # rounding in both norms, so a candidate that could tie gets its SVD.
-    screens = [np.linalg.norm(c[3]) / n for c in candidates]
+    # the margin 1e-8 covers rounding in both norms, so a candidate that
+    # could tie gets its SVD
     rhos = {}
     for i in sorted(range(len(candidates)), key=screens.__getitem__):
         if screens[i] > min(rhos.values(), default=math.inf) * (1 + 1e-8):
             break
-        rhos[i] = operator_norm(candidates[i][3])
+        rhos[i] = operator_norm(residual(*candidates[i]))
     best = min(rhos, key=lambda i: (rhos[i], i))
     rho = rhos[best]
-    kind, u_left, v_right, diff = candidates[best]
+    kind, u_left, v_right = candidates[best]
     fields = dict(
         kind=kind, u_left=u_left, v_right=v_right,
         transpose_flag=kind is MapKind.ANTI, reconstruction_residual=rho,
@@ -300,6 +310,7 @@ def classify_preserver(
     if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, n, n) is Band.PASS:
         return _certificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
     # column i + j n of the matrix is the image of E_ij
+    diff = residual(kind, u_left, v_right)
     j, i = divmod(int(np.argmax(np.linalg.norm(diff, axis=0))), n)
     return reject("reconstruction-mismatch", _pair_unitaries(n, (i, j)), **fields)
 

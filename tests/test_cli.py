@@ -94,6 +94,26 @@ def test_check_extreme_algebra_not_closed_is_data_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
+    """A block unitary in U (M_4 + M_4) U*, checked against that algebra
+    given by its complex basis U E_ij U*, is extreme."""
+    rng = np.random.default_rng(8)
+    u = haar_from_rng(8, rng)
+    units = [
+        u @ matrix_unit(8, i, j) @ u.conj().T
+        for lo in (0, 4) for i in range(lo, lo + 4) for j in range(lo, lo + 4)
+    ]
+    w = np.zeros((8, 8), dtype=complex)
+    w[:4, :4], w[4:, 4:] = haar_from_rng(4, rng), haar_from_rng(4, rng)
+    mpath = write_matrix(tmp_path, "w.json", u @ w @ u.conj().T)
+    apath = tmp_path / "rotated_blocks.json"
+    ser.save_json(str(apath), {"n": 8, "elements": [ser.matrix_to_obj(e) for e in units]})
+    code, obj, err = run_json(capsys, "check-extreme", mpath, "--algebra", str(apath))
+    assert code == EXIT_OK, err
+    assert obj["report"]["verdict"] == "Extreme"
+    assert obj["report"]["witness_index"] is None
+
+
 def test_check_extreme_truncated_json(tmp_path, capsys):
     path = tmp_path / "cut.json"
     path.write_text('{"rows": 2,')

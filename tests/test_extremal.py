@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from unitball.extremal import (
     ExtremeVerdict,
@@ -36,6 +37,44 @@ def kadison_residual_by_loop(w, basis):
     dl = np.eye(n) - w.conj().T @ w
     dr = np.eye(n) - w @ w.conj().T
     return max(operator_norm(dl @ b @ dr) for b in basis.elements)
+
+
+def closure_failure_by_pairs(elements, tol=DEFAULT_TOL):
+    """Independent oracle: the first closure property the span misses, in
+    the order adjoints, products, identity, or None.  Each candidate is
+    projected on its own onto the span of the column-stacked elements, with
+    the orthonormal rows q of V^H from the SVD: P v = q^T (conj(q) v)."""
+    n = elements[0].shape[0]
+    teff = tol.effective(n, n)
+    _, s, vh = np.linalg.svd(
+        np.array([e.flatten(order="F") for e in elements]), full_matrices=False
+    )
+    q = vh[: int(np.count_nonzero(s > teff))]
+
+    def outside(x):
+        v = x.flatten(order="F")
+        return np.linalg.norm(v - q.T @ (q.conj() @ v)) > teff
+
+    if any(outside(e.conj().T) for e in elements):
+        return "adjoints"
+    if any(outside(a @ b) for a in elements for b in elements):
+        return "products"
+    if outside(np.eye(n)):
+        return "identity"
+    return None
+
+
+def block_units(blocks, u=None):
+    """The matrix units of a block-diagonal algebra, conjugated by u if given."""
+    n = sum(blocks)
+    starts = np.cumsum((0,) + tuple(blocks))
+    units = [
+        matrix_unit(n, i, j)
+        for lo, hi in zip(starts, starts[1:])
+        for i in range(lo, hi)
+        for j in range(lo, hi)
+    ]
+    return units if u is None else [u @ e @ u.conj().T for e in units]
 
 
 def partial_isometry(n, rank, rng):
@@ -103,7 +142,8 @@ def test_diagonal_subalgebra_validates():
 
 
 def test_basis_rejects_span_without_identity():
-    with pytest.raises(ValueError):
+    # span{E_11} is closed under adjoints and products, so only the identity fails
+    with pytest.raises(ValueError, match="does not contain the identity"):
         StarAlgebraBasis([matrix_unit(2, 0, 0)])
 
 
@@ -116,8 +156,97 @@ def test_basis_rejects_span_not_closed_under_adjoint():
 def test_basis_rejects_span_not_closed_under_products():
     # h is selfadjoint but h^2 = E_00 + E_11 lies outside span{I, h} in M_3
     h = matrix_unit(3, 0, 1) + matrix_unit(3, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not closed under products"):
         StarAlgebraBasis([np.eye(3, dtype=complex), h])
+
+
+def test_basis_reports_adjoints_before_products():
+    # the shift s = E_12 + E_23 in M_3: neither s* nor s^2 = E_13 is in span{I, s}
+    s = matrix_unit(3, 0, 1) + matrix_unit(3, 1, 2)
+    elements = [np.eye(3, dtype=complex), s]
+    assert closure_failure_by_pairs(elements) == "adjoints"
+    with pytest.raises(ValueError, match="not closed under adjoints"):
+        StarAlgebraBasis(elements)
+
+
+def test_basis_keeps_elements_as_one_stack():
+    units = block_units((1, 2))
+    basis = StarAlgebraBasis(units)
+    assert basis.elements.shape == (5, 3, 3)
+    assert all(np.array_equal(b, e) for b, e in zip(basis.elements, units))
+
+
+def test_complex_commutative_subalgebra_validates():
+    """span{U E_11 U*, U E_22 U*} is a *-subalgebra for any unitary U; its
+    complex conjugate span is a different one, so a projection onto the
+    conjugate span would call it not closed under adjoints."""
+    u = haar_unitary(2, 3)
+    elements = [u @ matrix_unit(2, i, i) @ u.conj().T for i in range(2)]
+    assert closure_failure_by_pairs(elements) is None
+    basis = StarAlgebraBasis(elements)
+    assert basis.n == 2 and not basis.is_full
+
+
+def test_complex_basis_not_closed_is_rejected():
+    # U span{I, E_12} U*: closed under products, not under adjoints
+    u = haar_unitary(2, 4)
+    elements = [np.eye(2, dtype=complex), u @ matrix_unit(2, 0, 1) @ u.conj().T]
+    assert closure_failure_by_pairs(elements) == "adjoints"
+    with pytest.raises(ValueError, match="not closed under adjoints"):
+        StarAlgebraBasis(elements)
+
+
+@st.composite
+def rotated_block_algebras(draw):
+    """(blocks, U) with block sizes summing to at most 8 and a Haar U."""
+    blocks = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8)
+    )
+    return tuple(blocks), haar_unitary(sum(blocks), draw(st.integers(0, 2**31 - 1)))
+
+
+@given(
+    rotated_block_algebras(),
+    st.integers(0, 63),
+    st.floats(10.0, 1e4),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rotated_block_algebra_closure_property(algebra, index, factor, seed):
+    """U (block units) U* spans a *-subalgebra and is accepted.  Moving one
+    element by factor * tol_eff along a unit direction orthogonal to the
+    span breaks closure and is rejected.  The pair-by-pair oracle agrees."""
+    blocks, u = algebra
+    elements = block_units(blocks, u)
+    n, k = u.shape[0], len(elements)
+    assert closure_failure_by_pairs(elements) is None
+    StarAlgebraBasis(elements)
+
+    assume(k < n * n)
+    rows = np.array([e.flatten(order="F") for e in elements])
+    g = complex_gaussian(n * n, 1, np.random.default_rng(seed))[:, 0]
+    # the elements are orthonormal in the Frobenius inner product
+    g -= rows.T @ (rows.conj() @ g)
+    d = (g / np.linalg.norm(g)).reshape(n, n, order="F")
+    moved = list(elements)
+    moved[index % k] = moved[index % k] + factor * DEFAULT_TOL.effective(n, n) * d
+    assert closure_failure_by_pairs(moved) is not None
+    with pytest.raises(ValueError, match="basis span"):
+        StarAlgebraBasis(moved)
+
+
+def test_basis_memory_stays_near_the_element_stack():
+    """Checking the (3, 5, 8) block units (k = 98, n = 16) holds a few
+    k x n^2 blocks at once, not k^2 products."""
+    units = block_units((3, 5, 8))
+    k, n = len(units), 16
+    tracemalloc.start()
+    try:
+        StarAlgebraBasis(units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * k * n * n * 16
 
 
 def test_basis_rejects_mixed_shapes():
@@ -190,6 +319,23 @@ def test_near_unitary_lands_in_inconclusive_band():
     rep = kadison_extreme_test(w, StarAlgebraBasis.full(2))
     assert rep.verdict is ExtremeVerdict.INCONCLUSIVE
     assert rep.margin > 0
+
+
+def test_subalgebra_residual_matches_loop_oracle():
+    """The stacked residual over a basis file equals the per-element max,
+    and the witness is an element that attains it."""
+    rng = np.random.default_rng(5)
+    u = haar_from_rng(7, rng)
+    basis = StarAlgebraBasis(block_units((2, 2, 3), u))
+    parts = [haar_from_rng(2, rng), partial_isometry(2, 1, rng), haar_from_rng(3, rng)]
+    w = np.zeros((7, 7), dtype=complex)
+    for lo, part in zip((0, 2, 4), parts):
+        w[lo:lo + len(part), lo:lo + len(part)] = part
+    rep = kadison_extreme_test(u @ w @ u.conj().T, basis)
+    assert rep.verdict is ExtremeVerdict.NOT_EXTREME
+    oracle = kadison_residual_by_loop(u @ w @ u.conj().T, basis)
+    assert rep.kadison_residual == pytest.approx(oracle, abs=1e-12)
+    assert 4 <= rep.witness_index < 8  # a unit of the deficient 2x2 block
 
 
 def test_kadison_dimension_mismatch():

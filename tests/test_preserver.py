@@ -513,6 +513,33 @@ def test_falsifier_memory_does_not_grow_with_trials():
     assert peak(5000) < 1.5 * peak(200)
 
 
+@pytest.mark.parametrize("case", ["hom", "anti", "mismatch"])
+def test_classify_memory_stays_near_the_input_size(case):
+    """One n^2 x n^2 residual S - R lives at a time, built in its rebuild's
+    buffer, so the traced peak of a classify at n = 16 stays within 2.5
+    times the input matrix (keeping both forms' S - R took 4 times)."""
+    n = 16
+    phi = from_left_right(haar_unitary(n, 1), haar_unitary(n, 2))
+    anti = compose(phi, transpose_map(n))
+    if case == "anti":
+        phi = anti
+    if case == "mismatch":
+        # A -> U (A + A^tr) V / 2 sends I to a unitary but fits neither form
+        phi = SuperOperator(n, n, (phi.matrix + anti.matrix) / 2)
+    tracemalloc.start()
+    try:
+        cert = classify_preserver(phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if case == "mismatch":
+        assert cert.verdict is PreserverVerdict.NOT_PRESERVER
+        assert cert.reason == "reconstruction-mismatch"
+    else:
+        assert cert.verdict is PreserverVerdict.PRESERVER
+    assert peak <= 2.5 * phi.matrix.nbytes
+
+
 # --------------------------------------------------- out-of-scope inputs
 
 
