@@ -23,10 +23,7 @@ from .linalg import (
     as_matrix,
     hermitian_part,
     matrix_unit,
-    nearest_projection,
     operator_norm,
-    polar_unitary,
-    unitarity_defect,
 )
 
 __all__ = [
@@ -76,10 +73,11 @@ class StarAlgebraBasis:
     is checked to be closed under adjoints and pairwise products and to
     contain the identity, all within tolerance, in that order.  Complex
     bases are accepted.  The k elements are kept as one read-only (k, n, n)
-    array in ``elements``.  The closure check projects the k adjoints as
-    one (k, n^2) block, the k^2 products as one such block per right
-    factor, and the identity onto the span, so it runs k + 2 pairs of
-    matrix-matrix products against an orthonormal basis of the span.
+    array in ``elements``.  Closure is checked on the r orthonormal rows of
+    the span (unit Frobenius norm, so the scale of the elements does not
+    matter): their adjoints as one (r, n^2) block, their r^2 products as
+    one such block per right factor, then the identity, each projected
+    onto the span.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
@@ -114,8 +112,10 @@ class StarAlgebraBasis:
         teff = tol.effective(n, n)
         # Row-major vecs throughout: the Frobenius residual ignores vec order.
         _, s, vh = np.linalg.svd(elems.reshape(k, n * n), full_matrices=False)
-        basis = vh[: int(np.count_nonzero(s > teff))]
+        r = int(np.count_nonzero(s > teff))
+        basis = vh[:r]
         basis_h = basis.conj().T
+        units = basis.reshape(r, n, n)
 
         def outside_span(rows: np.ndarray) -> bool:
             """Whether any row lies farther than tol_eff from the span.
@@ -125,12 +125,12 @@ class StarAlgebraBasis:
             rows -= (rows @ basis_h) @ basis
             return bool(np.max(np.linalg.norm(rows, axis=1)) > teff)
 
-        if outside_span(elems.conj().transpose(0, 2, 1).reshape(k, n * n)):
+        if outside_span(units.conj().transpose(0, 2, 1).reshape(r, n * n)):
             raise ValueError("basis span is not closed under adjoints")
-        stacked = elems.reshape(k * n, n)
-        for b in elems:
-            # row block j is elems[j] @ b
-            if outside_span((stacked @ b).reshape(k, n * n)):
+        stacked = units.reshape(r * n, n)
+        for b in units:
+            # row block j is units[j] @ b
+            if outside_span((stacked @ b).reshape(r, n * n)):
                 raise ValueError("basis span is not closed under products")
         if outside_span(np.eye(n, dtype=np.complex128).reshape(1, n * n)):
             raise ValueError("basis span does not contain the identity")
@@ -140,10 +140,14 @@ class StarAlgebraBasis:
 class ExtremePointReport:
     """Outcome of the extreme-point test with its supporting residuals.
 
-    ``margin`` is ``score - tol_eff`` where ``score`` is the larger of the
-    partial-isometry defect and the Kadison residual: nonpositive for
-    Extreme, above ``9 * tol_eff`` for NotExtreme, in between for
-    Inconclusive.  ``witness_index`` points at a basis element with
+    ``defect_left`` is the distance ``||w*w - P||`` of w*w to its nearest
+    orthogonal projection P, ``defect_right`` the same for ww*.  Both are
+    ``max_k |s_k^2 - [s_k^2 >= 1/2]|`` over the singular values s of w,
+    so for a square w they are equal.  ``margin`` is ``score - tol_eff``
+    where ``score`` is the larger of the partial-isometry defect
+    ``||ww*w - w||`` and the Kadison residual: nonpositive for Extreme,
+    above ``9 * tol_eff`` for NotExtreme, in between for Inconclusive.
+    ``witness_index`` points at a basis element with
     ``||(I - w*w) B_k (I - ww*)|| > tol`` when one exists.
     """
 
@@ -162,19 +166,25 @@ def classify_isometry(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> IsometryCl
     Unitary means a*a = I and aa* = I within tolerance; Isometry and
     Coisometry keep only one of the two; PartialIsometry means a a* a = a.
     In square dimension Isometry or Coisometry alone cannot occur, so those
-    labels only show up for rectangular input.
+    labels only show up for rectangular input.  Every defect is read off
+    the singular values s of the m x n matrix a: a*a has the eigenvalues
+    s^2 padded with zeros to n, aa* the same padded to m, and
+    ``||aa*a - a|| = max s |s^2 - 1|``.
     """
     a = as_matrix(a)
     m, n = a.shape
-    left = operator_norm(a.conj().T @ a - np.eye(n)) <= tol.effective(n, n)
-    right = operator_norm(a @ a.conj().T - np.eye(m)) <= tol.effective(m, m)
+    s = np.linalg.svd(a, compute_uv=False)
+    deviation = float(np.max(abs(s * s - 1.0)))
+    # the zeros that pad s^2 to n (or m) eigenvalues lie at distance 1 from I's
+    left = (max(deviation, 1.0) if n > s.size else deviation) <= tol.effective(n, n)
+    right = (max(deviation, 1.0) if m > s.size else deviation) <= tol.effective(m, m)
     if left and right:
         return IsometryClass.UNITARY
     if left:
         return IsometryClass.ISOMETRY
     if right:
         return IsometryClass.COISOMETRY
-    if operator_norm(a @ a.conj().T @ a - a) <= tol.effective(m, n):
+    if np.max(s * abs(s * s - 1.0)) <= tol.effective(m, n):
         return IsometryClass.PARTIAL_ISOMETRY
     return IsometryClass.NONE
 
@@ -190,8 +200,9 @@ def kadison_extreme_test(
     operator norm, taken over the basis elements: from the column norms of
     the two defects for the full algebra (each term is rank one), and for
     any other basis as one stacked product ``dl @ elements @ dr`` with one
-    batched norm call.  ``witness_index``
-    is the first element that attains the max.  The verdict is Extreme
+    batched norm call.  ``witness_index`` is the first element that attains
+    the max.  The partial-isometry defect and the projection defects come
+    from one values-only SVD of ``w``.  The verdict is Extreme
     iff ``w`` is a partial isometry and the residual is below tolerance,
     NotExtreme beyond ten times tolerance, Inconclusive in the decade
     between (floating-point honesty at the decision boundary).
@@ -206,12 +217,13 @@ def kadison_extreme_test(
     dl = eye - w.conj().T @ w
     dr = eye - w @ w.conj().T
 
-    pi_defect = operator_norm(w @ w.conj().T @ w - w)
+    s = np.linalg.svd(w, compute_uv=False)
+    s2 = s * s
+    pi_defect = float(np.max(s * abs(s2 - 1.0)))
     teff = tol.effective(n, n)
     is_pi = pi_defect <= teff
-
-    defect_left = operator_norm(dl - (eye - nearest_projection(w.conj().T @ w)))
-    defect_right = operator_norm(dr - (eye - nearest_projection(w @ w.conj().T)))
+    # w*w and ww* share the eigenvalues s^2; the nearest projection rounds them at 1/2
+    projection_defect = float(np.max(abs(s2 - (s2 >= 0.5))))
 
     if basis.is_full:
         # (I-w*w) E_ij (I-ww*) is rank one with norm ||dl e_i|| * ||dr e_j||.
@@ -235,8 +247,8 @@ def kadison_extreme_test(
 
     witness = best_index if residual > teff else None
     return ExtremePointReport(
-        defect_left=float(defect_left),
-        defect_right=float(defect_right),
+        defect_left=projection_defect,
+        defect_right=projection_defect,
         is_partial_isometry=is_pi,
         kadison_residual=residual,
         verdict=verdict,
@@ -262,10 +274,9 @@ def selfadjoint_mean_of_unitaries(
     teff = tol.effective(n, n)
     if operator_norm(s - s.conj().T) > teff:
         raise ValueError("input is not Hermitian within tolerance")
-    h = hermitian_part(s)
-    if operator_norm(h) > 1 + teff:
+    w, v = np.linalg.eigh(hermitian_part(s))
+    if np.max(abs(w)) > 1 + teff:
         raise ValueError("input norm exceeds 1, no unitary mean exists")
-    w, v = np.linalg.eigh(h)
     lam = np.clip(w, -1.0, 1.0)
     im = np.sqrt(1.0 - lam * lam)
     u_plus = (v * (lam + 1j * im)) @ v.conj().T
@@ -278,20 +289,22 @@ def contraction_mean_of_unitaries(
 ) -> tuple[list[np.ndarray], list[float]]:
     """Write a square contraction as a convex combination of unitaries.
 
-    A unitary input is returned as itself with weight 1.  Otherwise the
-    polar factor ``a = w p`` is used: ``p`` is a Hermitian contraction and
-    hence a mean of two unitaries, so ``a`` is the equal-weight mean of
-    ``w u_plus`` and ``w u_minus``.
+    A unitary input is returned as itself with weight 1.  Otherwise, with
+    the SVD ``a = U diag(s) V*`` and ``c = min(s, 1)``, ``a`` is the
+    equal-weight mean of the unitaries ``U diag(c +- i sqrt(1 - c^2)) V*``
+    (the polar factor ``U V*`` times the two unitaries whose mean is the
+    Hermitian contraction ``V diag(c) V*``).
     """
     a = as_matrix(a)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"mean decomposition needs a square matrix, got {a.shape}")
     teff = tol.effective(n, n)
-    if operator_norm(a) > 1 + teff:
+    u, s, vh = np.linalg.svd(a)
+    if s[0] > 1 + teff:
         raise ValueError("input norm exceeds 1, no unitary mean exists")
-    if unitarity_defect(a) <= teff:
+    if np.max(abs(s * s - 1.0)) <= teff:
         return [a.copy()], [1.0]
-    w, p = polar_unitary(a)
-    u_plus, u_minus = selfadjoint_mean_of_unitaries(p, tol)
-    return [w @ u_plus, w @ u_minus], [0.5, 0.5]
+    c = np.minimum(s, 1.0)
+    im = np.sqrt(1.0 - c * c)
+    return [(u * (c + 1j * im)) @ vh, (u * (c - 1j * im)) @ vh], [0.5, 0.5]

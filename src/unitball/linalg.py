@@ -1,8 +1,8 @@
 """Dense complex linear algebra primitives shared by every other module.
 
 All matrices are dense two dimensional ``numpy`` arrays of ``complex128``.
-Rank decisions (null spaces, PSD clamping, projection rounding) are always
-made by thresholding singular values or eigenvalues, never via determinants.
+Rank decisions (null spaces, PSD clamping) are always made by thresholding
+singular values or eigenvalues, never via determinants.
 Every function is pure: inputs are never mutated and results depend only on
 the arguments, so values are safe to share between threads.
 """
@@ -29,7 +29,6 @@ __all__ = [
     "haar_stack",
     "null_space_projection",
     "unitarity_defect",
-    "nearest_projection",
     "unitary_exp",
     "hermitian_part",
     "complex_gaussian",
@@ -191,16 +190,6 @@ def unitarity_defect(a: np.ndarray) -> float | np.ndarray:
     top, bottom = s[..., 0], s[..., -1]
     defect = np.maximum(abs(top * top - 1.0), abs(bottom * bottom - 1.0))
     return float(defect) if a.ndim == 2 else defect
-
-
-def nearest_projection(h: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal projection to a (nearly) Hermitian matrix.
-
-    Eigenvalues are rounded to {0, 1} at the midpoint 1/2.
-    """
-    w, v = np.linalg.eigh(hermitian_part(as_matrix(h)))
-    rounded = (w >= 0.5).astype(np.float64)
-    return (v * rounded) @ v.conj().T
 
 
 def unitary_exp(h: np.ndarray, t: float = 1.0) -> np.ndarray:

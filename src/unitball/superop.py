@@ -19,8 +19,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    haar_from_rng,
-    operator_norm,
     unitarity_defect,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "compose",
     "left_multiplier",
     "direct_sum_embedding",
-    "map_norm_lower_bound",
 ]
 
 
@@ -194,23 +191,3 @@ def direct_sum_embedding(
     block[r + c * size, i + j * n] = 1.0
     blocks = SuperOperator(n, size, block)
     return compose(from_left_right(w, w.conj().T), blocks)
-
-
-def map_norm_lower_bound(phi: SuperOperator, samples: int, seed: int) -> float:
-    """Certified lower bound on the operator-norm-to-operator-norm map norm.
-
-    Evaluates the map on the identity and on random unit-ball elements
-    built as convex combinations of pairs of Haar unitaries (every sampled
-    input has norm <= 1 exactly, so the max image norm is a true lower
-    bound).
-    """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
-    n = phi.dim_in
-    best = operator_norm(apply(phi, np.eye(n, dtype=np.complex128)))
-    for _ in range(samples):
-        lam = rng.uniform()
-        a = lam * haar_from_rng(n, rng) + (1 - lam) * haar_from_rng(n, rng)
-        best = max(best, operator_norm(apply(phi, a)))
-    return best

@@ -33,7 +33,9 @@ from unitball.preserver import (
     falsify_by_sampling,
     identity_residuals,
 )
-from unitball.superop import apply, compose, from_left_right, map_norm_lower_bound, transpose_map
+from unitball.superop import apply, compose, from_left_right, transpose_map
+
+from map_norm import map_norm_lower_bound
 
 TOL = 1e-8
 

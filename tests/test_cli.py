@@ -94,6 +94,21 @@ def test_check_extreme_algebra_not_closed_is_data_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_extreme_small_algebra_not_closed_is_data_error(tmp_path, capsys):
+    """span{I, 1e-5 sx, 1e-5 sz} misses sx sz = -i sy however small the
+    elements are, so the file is rejected rather than given a verdict."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    mpath = write_matrix(tmp_path, "m.json", np.eye(2))
+    apath = tmp_path / "small_algebra.json"
+    elements = [np.eye(2), 1e-5 * sx, 1e-5 * sz]
+    ser.save_json(str(apath), {"n": 2, "elements": [ser.matrix_to_obj(e) for e in elements]})
+    code, out, err = run(capsys, "check-extreme", mpath, "--algebra", str(apath))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert "not closed under products" in err
+
+
 def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
     """A block unitary in U (M_4 + M_4) U*, checked against that algebra
     given by its complex basis U E_ij U*, is extreme."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from unitball import extremal
 from unitball.extremal import (
     ExtremeVerdict,
     IsometryClass,
@@ -254,6 +255,29 @@ def test_basis_rejects_mixed_shapes():
         StarAlgebraBasis([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-5])
+def test_basis_closure_does_not_depend_on_element_scale(scale):
+    """span{I, sx, sz} misses sx sz = -i sy.  Products of the elements
+    themselves shrink with their scale below tol_eff; products of an
+    orthonormal basis of the span do not."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    elements = [np.eye(2, dtype=complex), scale * sx, scale * sz]
+    assert closure_failure_by_pairs([np.eye(2), sx, sz]) == "products"
+    with pytest.raises(ValueError, match="not closed under products"):
+        StarAlgebraBasis(elements)
+
+
+def test_basis_accepts_each_unit_listed_twice():
+    """k = 2r elements spanning the (1, 2, 3) block algebra: the check runs
+    on the r-dimensional span, and the elements are kept as given."""
+    units = block_units((1, 2, 3))
+    basis = StarAlgebraBasis(units + [2.0 * e for e in units])
+    assert basis.elements.shape == (2 * len(units), 6, 6)
+    rep = kadison_extreme_test(np.eye(6), basis)
+    assert rep.verdict is ExtremeVerdict.EXTREME
+
+
 # ------------------------------------------------------------- kadison
 
 
@@ -352,6 +376,171 @@ def test_zero_matrix_is_not_extreme():
     assert rep.kadison_residual == pytest.approx(1.0, abs=1e-14)
 
 
+# ------------------------------------------------ singular-value read-off
+
+
+def direct_extreme_scores(w, tol=DEFAULT_TOL):
+    """Independent oracle: the partial-isometry defect ||ww*w - w||, the
+    distances of w*w and ww* to their nearest projections (eigenvalues
+    rounded at 1/2 through eigh), and the verdict from the larger of the
+    partial-isometry defect and the loop residual."""
+    n = w.shape[0]
+    eye = np.eye(n)
+
+    def to_nearest_projection(h):
+        lam, v = np.linalg.eigh(hermitian_part(h))
+        return operator_norm(h - (v * (lam >= 0.5)) @ v.conj().T)
+
+    wh = w.conj().T
+    pi_defect = operator_norm(w @ wh @ w - w)
+    score = max(pi_defect, kadison_residual_by_loop(w, StarAlgebraBasis.full(n)))
+    verdict = {
+        "pass": ExtremeVerdict.EXTREME,
+        "inconclusive": ExtremeVerdict.INCONCLUSIVE,
+        "fail": ExtremeVerdict.NOT_EXTREME,
+    }[tol.band(score, n, n).value]
+    return {
+        "defect_left": to_nearest_projection(wh @ w),
+        "defect_right": to_nearest_projection(w @ wh),
+        "is_partial_isometry": pi_defect <= tol.effective(n, n),
+        "margin": score - tol.effective(n, n),
+        "verdict": verdict,
+    }
+
+
+def direct_isometry_class(a, tol=DEFAULT_TOL):
+    """Independent oracle: the defects of classify_isometry as the norms of
+    a*a - I, aa* - I and aa*a - a."""
+    m, n = a.shape
+    ah = a.conj().T
+    left = operator_norm(ah @ a - np.eye(n)) <= tol.effective(n, n)
+    right = operator_norm(a @ ah - np.eye(m)) <= tol.effective(m, m)
+    if left and right:
+        return IsometryClass.UNITARY
+    if left:
+        return IsometryClass.ISOMETRY
+    if right:
+        return IsometryClass.COISOMETRY
+    if operator_norm(a @ ah @ a - a) <= tol.effective(m, n):
+        return IsometryClass.PARTIAL_ISOMETRY
+    return IsometryClass.NONE
+
+
+def decision_point_values(teff):
+    """Singular values where the read-off decides: exact 0 and 1, s^2 at
+    1 -+ f tol_eff on both sides of the band edges tol_eff and 10 tol_eff,
+    s^2 at 1/2 -+ 1e-12 where the nearest projection rounds, or anywhere in
+    [1e-3, 1.2].  Small nonzero values are left out: s |s^2 - 1| would
+    meet tol_eff at s = tol_eff, where a verdict hinges on the last bit."""
+    edges = [math.sqrt(1 + sign * f * teff) for f in (0.5, 3, 20) for sign in (-1, 1)]
+    halves = [math.sqrt(0.5 + d) for d in (-1e-12, 1e-12)]
+    return st.sampled_from([0.0, 1.0, *edges, *halves]) | st.floats(1e-3, 1.2)
+
+
+@st.composite
+def svd_built_matrices(draw, square):
+    """U diag(s) V* with Haar U, V and s drawn at the decision points.
+
+    Shapes with m = 4n or n = 4m are left out: there 0.5 tol_eff(m, n)
+    equals tol_eff(n, n) or tol_eff(m, m) exactly, so a class would hinge
+    on the last bit of the rounding.
+    """
+    m = draw(st.integers(1, 5))
+    if square:
+        n = m
+    else:
+        n = draw(st.integers(1, 5).filter(lambda c: c != m and 4 * c != m and 4 * m != c))
+    k = min(m, n)
+    s = draw(st.lists(decision_point_values(DEFAULT_TOL.effective(m, n)), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    core = np.zeros((m, n))
+    core[range(k), range(k)] = s
+    return haar_from_rng(m, rng) @ core @ haar_from_rng(n, rng)
+
+
+@given(svd_built_matrices(square=True))
+@settings(max_examples=150, deadline=None)
+def test_extreme_scores_match_direct_formulas(w):
+    rep = kadison_extreme_test(w, StarAlgebraBasis.full(w.shape[0]))
+    want = direct_extreme_scores(w)
+    assert rep.verdict is want["verdict"]
+    assert rep.is_partial_isometry == want["is_partial_isometry"]
+    assert rep.defect_left == pytest.approx(want["defect_left"], abs=1e-12)
+    assert rep.defect_right == pytest.approx(want["defect_right"], abs=1e-12)
+    assert rep.margin == pytest.approx(want["margin"], abs=1e-12)
+
+
+@given(st.booleans().flatmap(lambda square: svd_built_matrices(square)))
+@settings(max_examples=150, deadline=None)
+def test_isometry_class_matches_direct_norms(a):
+    assert classify_isometry(a) is direct_isometry_class(a)
+
+
+@st.composite
+def contractions(draw):
+    """U diag(s) V* with s drawn at the decision points and clipped to 1,
+    then the top value raised by e tol_eff for e in {0, 0.3, 0.9}.
+
+    e = 0.5 is left out: it would put a top value of exactly 1 at
+    s^2 - 1 = tol_eff, where the unitary shortcut hinges on the last bit.
+    """
+    n = draw(st.integers(1, 5))
+    teff = DEFAULT_TOL.effective(n, n)
+    s = draw(st.lists(decision_point_values(teff), min_size=n, max_size=n))
+    s = np.minimum(sorted(s, reverse=True), 1.0)
+    s[0] += draw(st.sampled_from([0.0, 0.3, 0.9])) * teff
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    return haar_from_rng(n, rng) @ np.diag(s) @ haar_from_rng(n, rng)
+
+
+@given(contractions())
+@settings(max_examples=100, deadline=None)
+def test_contraction_mean_from_one_svd(a):
+    """Unitary factors whose mean rebuilds a.  A norm above 1 is clipped to
+    1 in the factors, so there the mean misses a by that excess; a unitary
+    a within tolerance is its own mean."""
+    teff = DEFAULT_TOL.effective(*a.shape)
+    factors, weights = contraction_mean_of_unitaries(a)
+    assert sum(weights) == 1.0
+    if unitarity_defect(a) <= teff:
+        assert len(factors) == 1 and np.array_equal(factors[0], a)
+        return
+    assert len(factors) == 2
+    for f in factors:
+        assert unitarity_defect(f) <= 1e-12
+    rebuilt = sum(wt * f for wt, f in zip(weights, factors))
+    assert operator_norm(rebuilt - a) <= max(operator_norm(a) - 1.0, 0.0) + 1e-12
+
+
+def test_one_svd_of_w_per_question(monkeypatch):
+    """Each question about w is read off one SVD: no eigh and no other
+    norm of a product."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the singular values already answer this")
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(extremal, "operator_norm", refused)
+    rng = np.random.default_rng(4)
+    w = partial_isometry(5, 3, rng)
+    kadison_extreme_test(w, StarAlgebraBasis.full(5))
+    assert calls == [(5, 5)]
+    for a in (w, complex_gaussian(3, 5, rng), complex_gaussian(5, 3, rng)):
+        calls.clear()
+        classify_isometry(a)
+        assert calls == [a.shape]
+    calls.clear()
+    contraction_mean_of_unitaries(0.5 * w)
+    assert calls == [(5, 5)]
+
+
 # ------------------------------------------- extreme <=> unitary sweep
 
 
@@ -447,6 +636,8 @@ def test_contraction_mean_of_zero():
 def test_contraction_mean_rejects_expansion():
     with pytest.raises(ValueError):
         contraction_mean_of_unitaries(1.5 * np.eye(3))
+    with pytest.raises(ValueError, match="norm exceeds 1"):
+        contraction_mean_of_unitaries(np.diag([1 + 2 * DEFAULT_TOL.effective(3, 3), 0.5, 0.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 8])

@@ -27,10 +27,11 @@ from unitball.superop import (
     direct_sum_embedding,
     from_left_right,
     identity_map,
-    map_norm_lower_bound,
     transpose_map,
 )
 from unitball.gen import trace_pinch_map
+
+from map_norm import map_norm_lower_bound
 
 
 def jordan_residuals_by_loop(psi):

@@ -20,7 +20,6 @@ from unitball.linalg import (
     haar_unitary,
     hermitian_part,
     matrix_unit,
-    nearest_projection,
     null_space_projection,
     operator_norm,
     polar_unitary,
@@ -286,12 +285,6 @@ def test_unitarity_defect_of_a_stack_matches_each_matrix():
         unitarity_defect(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         unitarity_defect(np.zeros((2, 2, 2, 2)))
-
-
-def test_nearest_projection_rounds_eigenvalues_at_half():
-    out = nearest_projection(np.diag([0.9, 0.49, 0.51, -0.2]).astype(complex))
-    assert np.allclose(out, np.diag([1, 0, 1, 0]), atol=1e-12)
-    assert np.allclose(out @ out, out, atol=1e-12)
 
 
 def test_unitary_exp_diagonal_case():

@@ -16,11 +16,12 @@ from unitball.superop import (
     from_left_right,
     identity_map,
     left_multiplier,
-    map_norm_lower_bound,
     transpose_map,
     unvec,
     vec,
 )
+
+from map_norm import map_norm_lower_bound
 
 
 def rand(rng, rows, cols):
