@@ -123,7 +123,8 @@ class StarAlgebraBasis:
             Overwrites ``rows`` with their residuals.
             """
             rows -= (rows @ basis_h) @ basis
-            return bool(np.max(np.linalg.norm(rows, axis=1)) > teff)
+            # a span of rank 0 leaves no rows to check but the identity
+            return bool(np.max(np.linalg.norm(rows, axis=1), initial=0.0) > teff)
 
         if outside_span(units.conj().transpose(0, 2, 1).reshape(r, n * n)):
             raise ValueError("basis span is not closed under adjoints")

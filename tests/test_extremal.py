@@ -21,6 +21,7 @@ from unitball.extremal import (
 )
 from unitball.linalg import (
     DEFAULT_TOL,
+    Band,
     Tolerance,
     complex_gaussian,
     haar_from_rng,
@@ -146,6 +147,9 @@ def test_basis_rejects_span_without_identity():
     # span{E_11} is closed under adjoints and products, so only the identity fails
     with pytest.raises(ValueError, match="does not contain the identity"):
         StarAlgebraBasis([matrix_unit(2, 0, 0)])
+    # elements below tol_eff span {0}: no orthonormal rows, and no identity
+    with pytest.raises(ValueError, match="does not contain the identity"):
+        StarAlgebraBasis([1e-9 * np.eye(2, dtype=complex)])
 
 
 def test_basis_rejects_span_not_closed_under_adjoint():
@@ -385,7 +389,6 @@ def direct_extreme_scores(w, tol=DEFAULT_TOL):
     rounded at 1/2 through eigh), and the verdict from the larger of the
     partial-isometry defect and the loop residual."""
     n = w.shape[0]
-    eye = np.eye(n)
 
     def to_nearest_projection(h):
         lam, v = np.linalg.eigh(hermitian_part(h))
@@ -395,10 +398,10 @@ def direct_extreme_scores(w, tol=DEFAULT_TOL):
     pi_defect = operator_norm(w @ wh @ w - w)
     score = max(pi_defect, kadison_residual_by_loop(w, StarAlgebraBasis.full(n)))
     verdict = {
-        "pass": ExtremeVerdict.EXTREME,
-        "inconclusive": ExtremeVerdict.INCONCLUSIVE,
-        "fail": ExtremeVerdict.NOT_EXTREME,
-    }[tol.band(score, n, n).value]
+        Band.PASS: ExtremeVerdict.EXTREME,
+        Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,
+        Band.FAIL: ExtremeVerdict.NOT_EXTREME,
+    }[tol.band(score, n, n)]
     return {
         "defect_left": to_nearest_projection(wh @ w),
         "defect_right": to_nearest_projection(w @ wh),
