@@ -93,7 +93,7 @@ def _cmd_check_extreme(args) -> int:
     rep = kadison_extreme_test(a, basis, tol)
     report = {
         "run": ser.run_info(tol, None, time.perf_counter() - t0),
-        "isometry_class": classify_isometry(a, tol).value,
+        "isometry_class": rep.isometry_class.value,
         "report": ser.extreme_report_to_obj(rep),
     }
     code = {

@@ -77,7 +77,10 @@ class StarAlgebraBasis:
     the span (unit Frobenius norm, so the scale of the elements does not
     matter): their adjoints as one (r, n^2) block, their r^2 products as
     one such block per right factor, then the identity, each projected
-    onto the span.
+    onto the span.  When every element has an imaginary part of exactly
+    zero, the whole check runs in real arithmetic: the complex span of real
+    matrices has a real orthonormal basis, whose adjoints are transposes.
+    ``elements`` stays complex either way.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
@@ -111,7 +114,10 @@ class StarAlgebraBasis:
         k, n = len(elems), self.n
         teff = tol.effective(n, n)
         # Row-major vecs throughout: the Frobenius residual ignores vec order.
-        _, s, vh = np.linalg.svd(elems.reshape(k, n * n), full_matrices=False)
+        vecs = elems.reshape(k, n * n)
+        if not vecs.imag.any():
+            vecs = vecs.real
+        _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         r = int(np.count_nonzero(s > teff))
         basis = vh[:r]
         basis_h = basis.conj().T
@@ -126,14 +132,16 @@ class StarAlgebraBasis:
             # a span of rank 0 leaves no rows to check but the identity
             return bool(np.max(np.linalg.norm(rows, axis=1), initial=0.0) > teff)
 
-        if outside_span(units.conj().transpose(0, 2, 1).reshape(r, n * n)):
+        # np.conj allocates: a real units.conj() is units itself, and at n = 1
+        # the reshape would then be a view that outside_span overwrites
+        if outside_span(np.conj(units.transpose(0, 2, 1)).reshape(r, n * n)):
             raise ValueError("basis span is not closed under adjoints")
         stacked = units.reshape(r * n, n)
         for b in units:
             # row block j is units[j] @ b
             if outside_span((stacked @ b).reshape(r, n * n)):
                 raise ValueError("basis span is not closed under products")
-        if outside_span(np.eye(n, dtype=np.complex128).reshape(1, n * n)):
+        if outside_span(np.eye(n, dtype=basis.dtype).reshape(1, n * n)):
             raise ValueError("basis span does not contain the identity")
 
 
@@ -150,6 +158,7 @@ class ExtremePointReport:
     above ``9 * tol_eff`` for NotExtreme, in between for Inconclusive.
     ``witness_index`` points at a basis element with
     ``||(I - w*w) B_k (I - ww*)|| > tol`` when one exists.
+    ``isometry_class`` is what :func:`classify_isometry` gives for ``w``.
     """
 
     defect_left: float
@@ -158,6 +167,7 @@ class ExtremePointReport:
     kadison_residual: float
     verdict: ExtremeVerdict
     margin: float
+    isometry_class: IsometryClass
     witness_index: int | None = None
 
 
@@ -173,8 +183,11 @@ def classify_isometry(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> IsometryCl
     ``||aa*a - a|| = max s |s^2 - 1|``.
     """
     a = as_matrix(a)
-    m, n = a.shape
-    s = np.linalg.svd(a, compute_uv=False)
+    return _isometry_class(np.linalg.svd(a, compute_uv=False), *a.shape, tol)
+
+
+def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryClass:
+    """:func:`classify_isometry` of an m x n matrix with singular values s."""
     deviation = float(np.max(abs(s * s - 1.0)))
     # the zeros that pad s^2 to n (or m) eigenvalues lie at distance 1 from I's
     left = (max(deviation, 1.0) if n > s.size else deviation) <= tol.effective(n, n)
@@ -202,11 +215,11 @@ def kadison_extreme_test(
     the two defects for the full algebra (each term is rank one), and for
     any other basis as one stacked product ``dl @ elements @ dr`` with one
     batched norm call.  ``witness_index`` is the first element that attains
-    the max.  The partial-isometry defect and the projection defects come
-    from one values-only SVD of ``w``.  The verdict is Extreme
-    iff ``w`` is a partial isometry and the residual is below tolerance,
-    NotExtreme beyond ten times tolerance, Inconclusive in the decade
-    between (floating-point honesty at the decision boundary).
+    the max.  The partial-isometry defect, the projection defects and the
+    isometry class come from one values-only SVD of ``w``.  The verdict is
+    Extreme iff ``w`` is a partial isometry and the residual is below
+    tolerance, NotExtreme beyond ten times tolerance, Inconclusive in the
+    decade between (floating-point honesty at the decision boundary).
     """
     w = as_matrix(w)
     n = w.shape[0]
@@ -254,6 +267,7 @@ def kadison_extreme_test(
         kadison_residual=residual,
         verdict=verdict,
         margin=float(score - teff),
+        isometry_class=_isometry_class(s, n, n, tol),
         witness_index=witness,
     )
 

@@ -2,12 +2,15 @@
 carries the one-line summary, and the exit codes {0,1,2,64,65} are a closed
 set."""
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitball import serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
@@ -127,6 +130,116 @@ def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
     assert code == EXIT_OK, err
     assert obj["report"]["verdict"] == "Extreme"
     assert obj["report"]["witness_index"] is None
+
+
+def test_check_extreme_takes_one_svd_of_w(tmp_path, capsys, monkeypatch):
+    """A square W's isometry class comes from the SVD the Kadison test
+    takes; a non-square W is classified on its own, with one SVD too."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    w = haar_from_rng(5, rng) @ np.diag([1.0, 1.0, 1.0, 0.0, 0.0]) @ haar_from_rng(5, rng)
+    square = write_matrix(tmp_path, "w.json", w)
+    tall = write_matrix(tmp_path, "tall.json", np.vstack([np.eye(2), np.zeros((1, 2))]))
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, obj, _ = run_json(capsys, "check-extreme", square)
+    assert code == EXIT_NEGATIVE
+    assert calls == [(5, 5)]
+    assert obj["isometry_class"] == "PartialIsometry"
+    assert "isometry_class" not in obj["report"]
+    calls.clear()
+    code, obj, _ = run_json(capsys, "check-extreme", tall)
+    assert code == EXIT_INCONCLUSIVE
+    assert calls == [(3, 2)]
+    assert obj["isometry_class"] == "Isometry"
+
+
+def _block_unit_objs(blocks):
+    n = sum(blocks)
+    starts = np.cumsum((0,) + tuple(blocks))
+    return [
+        ser.matrix_to_obj(matrix_unit(n, i, j))
+        for lo, hi in zip(starts, starts[1:])
+        for i in range(lo, hi)
+        for j in range(lo, hi)
+    ]
+
+
+_NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.just([0.0]))
+
+
+@st.composite
+def malformed_algebra_docs(draw):
+    """A real block-unit algebra document with two or more blocks, broken
+    in one way."""
+    blocks = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    n = sum(blocks)
+    elements = _block_unit_objs(blocks)
+    doc = {"n": n, "elements": elements}
+    k = draw(st.integers(0, len(elements) - 1))
+    el = elements[k]
+    row = el["entries"][draw(st.integers(0, n - 1))]
+    col = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(
+        ["n", "elements", "element", "ragged", "entry", "pair", "shape", "huge"]
+    ))
+    if fault == "n":
+        doc["n"] = draw(st.one_of(
+            st.just(float(n)), st.just(n + 0.5), st.just(n + 1), _NOT_A_NUMBER
+        ))
+    elif fault == "elements":
+        doc["elements"] = draw(st.one_of(st.just([]), st.just({}), st.just(el), _NOT_A_NUMBER))
+    elif fault == "element":
+        elements[k] = draw(st.one_of(
+            st.integers(), st.just({}), st.just({"rows": n, "cols": n}), _NOT_A_NUMBER
+        ))
+    elif fault == "ragged":
+        if draw(st.booleans()):
+            row.append([0.0, 0.0])
+        else:
+            row.pop()
+    elif fault == "entry":
+        row[col][draw(st.integers(0, 1))] = draw(_NOT_A_NUMBER)
+    elif fault == "pair":
+        row[col] = draw(st.one_of(
+            st.just([]), st.just([0.0]), st.just([0.0, 0.0, 0.0]), st.floats(-1, 1)
+        ))
+    elif fault == "shape":
+        rows, cols = draw(st.tuples(st.integers(1, n + 1), st.integers(1, n + 1)).filter(
+            lambda shape: shape != (n, n)
+        ))
+        elements[k] = ser.matrix_to_obj(np.zeros((rows, cols)))
+    else:
+        # an entry between two blocks: its adjoint lies outside the span
+        i = draw(st.integers(0, blocks[0] - 1))
+        j = draw(st.integers(blocks[0], n - 1))
+        if draw(st.booleans()):
+            i, j = j, i
+        el["entries"][i][j][0] = draw(st.floats(1e300, 1.7e308))
+    return n, doc
+
+
+@given(malformed_algebra_docs())
+@settings(max_examples=200, deadline=None)
+def test_malformed_algebra_file_is_data_error(tmp_path_factory, case):
+    """Every broken algebra document ends in exit 65, no report on stdout
+    and one line on stderr, never in a traceback."""
+    n, doc = case
+    tmp = tmp_path_factory.mktemp("algebra")
+    mpath = write_matrix(tmp, "w.json", np.eye(n))
+    apath = tmp / "algebra.json"
+    apath.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-extreme", mpath, "--algebra", str(apath)])
+    assert code == EXIT_DATA, err.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "error" in err.getvalue()
 
 
 def test_check_extreme_truncated_json(tmp_path, capsys):

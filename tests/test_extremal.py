@@ -66,6 +66,39 @@ def closure_failure_by_pairs(elements, tol=DEFAULT_TOL):
     return None
 
 
+_CLOSURE_MESSAGES = {
+    "adjoints": "basis span is not closed under adjoints",
+    "products": "basis span is not closed under products",
+    "identity": "basis span does not contain the identity",
+}
+
+
+def closure_message_in_complex(elements, tol=DEFAULT_TOL):
+    """Independent oracle: the closure check run in complex arithmetic on
+    the complex128 stack, whatever the elements' imaginary parts; the
+    message StarAlgebraBasis raises, or None."""
+    elems = np.array(elements, dtype=np.complex128)
+    k, n = elems.shape[:2]
+    teff = tol.effective(n, n)
+    _, s, vh = np.linalg.svd(elems.reshape(k, n * n), full_matrices=False)
+    basis = vh[: int(np.count_nonzero(s > teff))]
+    r = basis.shape[0]
+    units = basis.reshape(r, n, n)
+
+    def outside_span(rows):
+        rows = rows - (rows @ basis.conj().T) @ basis
+        return np.max(np.linalg.norm(rows, axis=1), initial=0.0) > teff
+
+    if outside_span(units.conj().transpose(0, 2, 1).reshape(r, n * n)):
+        return _CLOSURE_MESSAGES["adjoints"]
+    stacked = units.reshape(r * n, n)
+    if any(outside_span((stacked @ b).reshape(r, n * n)) for b in units):
+        return _CLOSURE_MESSAGES["products"]
+    if outside_span(np.eye(n, dtype=np.complex128).reshape(1, n * n)):
+        return _CLOSURE_MESSAGES["identity"]
+    return None
+
+
 def block_units(blocks, u=None):
     """The matrix units of a block-diagonal algebra, conjugated by u if given."""
     n = sum(blocks)
@@ -280,6 +313,110 @@ def test_basis_accepts_each_unit_listed_twice():
     assert basis.elements.shape == (2 * len(units), 6, 6)
     rep = kadison_extreme_test(np.eye(6), basis)
     assert rep.verdict is ExtremeVerdict.EXTREME
+
+
+def test_real_basis_of_size_one_is_accepted():
+    """At n = 1 the adjoint rows of a real basis would be a view of it; the
+    check must not overwrite the basis through them."""
+    one = np.ones((1, 1), dtype=complex)
+    for elements in ([one], [one, one]):
+        basis = StarAlgebraBasis(elements)
+        assert basis.elements.shape == (len(elements), 1, 1)
+        assert kadison_extreme_test(one, basis).verdict is ExtremeVerdict.EXTREME
+
+
+@st.composite
+def real_rotated_block_algebras(draw):
+    """(blocks, Q) with block sizes summing to at most 8 and a real
+    orthogonal Q."""
+    blocks = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((sum(blocks), sum(blocks))))
+    return tuple(blocks), q
+
+
+def closure_message(elements):
+    try:
+        StarAlgebraBasis(elements)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    real_rotated_block_algebras(),
+    st.integers(0, 63),
+    st.floats(10.0, 1e4),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_basis_closure_matches_complex_arithmetic(algebra, index, factor, seed):
+    """Q (block units) Q^T spans a *-subalgebra with real elements, checked
+    in real arithmetic.  It is accepted, and moving one element by
+    factor * tol_eff along a real unit direction orthogonal to the span
+    gets it rejected.  Either way the outcome and message equal the
+    complex-arithmetic check and the pair-by-pair oracle."""
+    blocks, q = algebra
+    elements = block_units(blocks, q)
+    n, k = q.shape[0], len(elements)
+    assert not np.array(elements).imag.any()
+    assert closure_message(elements) is None
+    assert closure_message_in_complex(elements) is None
+    assert closure_failure_by_pairs(elements) is None
+
+    assume(k < n * n)
+    rows = np.array([e.real.flatten() for e in elements])
+    g = np.random.default_rng(seed).standard_normal(n * n)
+    # the elements are orthonormal in the Frobenius inner product
+    g -= rows.T @ (rows @ g)
+    d = (g / np.linalg.norm(g)).reshape(n, n)
+    moved = list(elements)
+    moved[index % k] = moved[index % k] + factor * DEFAULT_TOL.effective(n, n) * d
+    message = closure_message(moved)
+    assert message is not None
+    assert message == closure_message_in_complex(moved)
+    assert message == _CLOSURE_MESSAGES[closure_failure_by_pairs(moved)]
+
+
+def test_basis_is_checked_in_real_arithmetic_only_when_real(monkeypatch):
+    """The closure SVD sees float64 exactly when no element has a nonzero
+    imaginary part; the elements are kept as complex128 either way."""
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spied(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    units = block_units((1, 2, 3))
+    tiny = [e.copy() for e in units]
+    tiny[4][1, 2] += 1e-300j
+    for elements, dtype in (
+        (units, np.float64),
+        ([1j * e for e in units], np.complex128),
+        (tiny, np.complex128),
+    ):
+        dtypes.clear()
+        basis = StarAlgebraBasis(elements)
+        assert dtypes == [dtype]
+        assert basis.elements.dtype == np.complex128
+
+
+def test_real_basis_memory_stays_within_five_complex_stacks():
+    """The real check of the (3, 5, 8) block units holds float64 blocks:
+    its peak stays within 5 complex k x n^2 stacks."""
+    units = block_units((3, 5, 8))
+    k, n = len(units), 16
+    tracemalloc.start()
+    try:
+        StarAlgebraBasis(units)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * k * n * n * 16
 
 
 # ------------------------------------------------------------- kadison
