@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, serialize as ser
 from .extremal import ExtremeVerdict, StarAlgebraBasis, classify_isometry, kadison_extreme_test
 from .gen import InstanceKind, InstanceSpec, derive_seed, generate
-from .linalg import Tolerance, unitarity_defect
+from .linalg import Band, Tolerance, unitarity_defect
 from .preserver import PreserverVerdict, classify_preserver, falsify_by_sampling, identity_residuals
 from .superop import apply
 
@@ -172,28 +172,36 @@ def _cmd_make(args) -> int:
 
 def _cmd_verify_identities(args) -> int:
     t0 = time.perf_counter()
+    tol = Tolerance(abs=args.tol)
     phi = ser.superop_from_obj(ser.load_json(args.superop))
 
     if not phi.is_square:
         report = {
-            "run": ser.run_info(Tolerance(abs=args.tol), args.seed, time.perf_counter() - t0),
+            "run": ser.run_info(tol, args.seed, time.perf_counter() - t0),
             "verdict": "Inconclusive",
             "reason": "theorem-scope",
         }
         return _emit(report, "Inconclusive: identities are stated for endomorphisms", EXIT_INCONCLUSIVE)
 
     residuals = identity_residuals(phi, samples=args.samples, seed=args.seed)
-    ok = all(r <= args.tol for r in residuals.values())
+    worst = max(residuals, key=residuals.get)
+    band = tol.band(residuals[worst], phi.dim_in, phi.dim_in)
     report = {
-        "run": ser.run_info(Tolerance(abs=args.tol), args.seed, time.perf_counter() - t0),
+        "run": ser.run_info(tol, args.seed, time.perf_counter() - t0),
         "samples": args.samples,
         "tol": args.tol,
         "residuals": residuals,
-        "pass": ok,
+        "pass": band is Band.PASS,
     }
-    worst = max(residuals, key=residuals.get)
-    verdict = "all identities hold" if ok else f"{worst} residual {residuals[worst]:.3e}"
-    return _emit(report, f"{'PASS' if ok else 'FAIL'}: {verdict}", EXIT_OK if ok else EXIT_NEGATIVE)
+    code, label = {
+        Band.PASS: (EXIT_OK, "PASS"),
+        Band.FAIL: (EXIT_NEGATIVE, "FAIL"),
+        Band.INCONCLUSIVE: (EXIT_INCONCLUSIVE, "Inconclusive"),
+    }[band]
+    detail = f"{worst} residual {residuals[worst]:.3e}"
+    if band is Band.PASS:
+        detail = "all identities hold"
+    return _emit(report, f"{label}: {detail}", code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -240,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("superop", help="path to a superoperator JSON file")
     p.add_argument("--samples", type=int, default=50, help="sampled inputs per identity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8, help="pass threshold (default 1e-8)")
+    p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
     p.set_defaults(func=_cmd_verify_identities)
 
     return parser
@@ -260,6 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:
         # a ValueError too, but no fault of the arguments: no verdict was reached
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except MemoryError as exc:
+        print(f"{parser.prog}: out of memory: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -73,14 +73,16 @@ class StarAlgebraBasis:
     is checked to be closed under adjoints and pairwise products and to
     contain the identity, all within tolerance, in that order.  Complex
     bases are accepted.  The k elements are kept as one read-only (k, n, n)
-    array in ``elements``.  Closure is checked on the r orthonormal rows of
-    the span (unit Frobenius norm, so the scale of the elements does not
-    matter): their adjoints as one (r, n^2) block, their r^2 products as
-    one such block per right factor, then the identity, each projected
-    onto the span.  When every element has an imaginary part of exactly
-    zero, the whole check runs in real arithmetic: the complex span of real
-    matrices has a real orthonormal basis, whose adjoints are transposes.
-    ``elements`` stays complex either way.
+    array in ``elements``.  Elements of Frobenius norm at most tol_eff count
+    as zero; the rest are scaled to unit norm before the SVD that finds the
+    r orthonormal rows of their span, so elements of any relative scale are
+    resolved.  Closure is checked on those rows: their adjoints as one
+    (r, n^2) block, their r^2 products as one such block per right factor,
+    then the identity, each projected onto the span.  When every element
+    has an imaginary part of exactly zero, the whole check runs in real
+    arithmetic: the complex span of real matrices has a real orthonormal
+    basis, whose adjoints are transposes.  ``elements`` stays complex
+    either way.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
@@ -117,6 +119,14 @@ class StarAlgebraBasis:
         vecs = elems.reshape(k, n * n)
         if not vecs.imag.any():
             vecs = vecs.real
+        # Each row is first divided by its largest real or imaginary part, so
+        # that no norm overflows; its norm is then peaks * norms, norms >= 1.
+        peaks = np.abs(vecs.view(np.float64)).max(axis=1)
+        vecs, peaks = vecs[peaks > 0], peaks[peaks > 0]
+        vecs /= peaks[:, None]
+        norms = np.linalg.norm(vecs, axis=1)
+        keep = peaks > teff / norms
+        vecs = vecs[keep] / norms[keep, None]
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         r = int(np.count_nonzero(s > teff))
         basis = vh[:r]

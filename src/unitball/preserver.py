@@ -2,13 +2,13 @@
 
 A linear map on M_n preserves the extreme points of the unit ball exactly
 when it sends every unitary to a unitary, and every such map factors as
-A -> U A V or A -> U A^tr V with U, V unitary.  So the decision reads U
-straight off the map's images of the matrix units and V off its image of
-I, once for each form, rebuilds the map exactly unitary as the Kronecker
-product V^tr kron U (its columns permuted for the transpose form), and
-lets one number decide: the residual rho = ||S - R|| between the input
-and rebuilt superoperator matrices, which bounds how far any unitary's
-image can be from unitary.
+A -> U A V or A -> U A^tr V with U, V unitary.  So the decision lets
+three images of matrix units pick the form, reads U straight off the
+map's images of the matrix units and V off its image of I, rebuilds the
+map exactly unitary as the Kronecker product V^tr kron U (its columns
+permuted for the transpose form), and lets one number decide: the
+residual rho = ||S - R|| between the input and rebuilt superoperator
+matrices, which bounds how far any unitary's image can be from unitary.
 A rejection rests on one object, a witness unitary.  A seeded sampling
 falsifier provides an independent probabilistic cross-check of the same
 property.
@@ -68,51 +68,33 @@ class PreserverCertificate:
     """Verdict plus everything needed to audit it.
 
     For a square map whose image of I passes, ``kind``, ``u_left``,
-    ``v_right`` and ``transpose_flag`` describe the candidate
+    ``v_right`` and ``transpose_flag`` describe the one candidate
     A -> u_left A v_right (transpose applied first when ``transpose_flag``
-    is set), and ``reconstruction_residual`` is its absolute operator-norm
-    distance rho from the input superoperator matrix.  A Preserver is that
-    candidate; a rejection carries it too, so its residual can be
-    re-checked.  For a NotPreserver, ``witness`` is a concrete unitary
-    whose image fails the unitary test by ``witness_defect``.  ``jordan``
-    holds the Jordan report of a rectangular map.  ``w`` is retired and
-    always None (it equalled ``v_right`` conjugate-transposed).  Fields
-    that a given path never computed are None.
+    is set) that the probe of :func:`classify_preserver` chose, and
+    ``reconstruction_residual`` is its absolute operator-norm distance rho
+    from the input superoperator matrix.  A Preserver is that candidate; a
+    rejection carries it too, so its residual can be re-checked.  For a
+    NotPreserver, ``witness`` is a concrete unitary whose image fails the
+    unitary test by ``witness_defect``.  ``jordan`` holds the Jordan report
+    of a rectangular map.  ``w`` is retired and always None (it equalled
+    ``v_right`` conjugate-transposed).  Fields that a given path never
+    computed keep their defaults: None, ``MapKind.NONE`` or False.
     """
 
     verdict: PreserverVerdict
     v: np.ndarray
     v_unitarity_residual: float
-    jordan: JordanReport | None
-    kind: MapKind
-    u_left: np.ndarray | None
-    v_right: np.ndarray | None
-    transpose_flag: bool
-    w: np.ndarray | None
-    reconstruction_residual: float | None
-    witness: np.ndarray | None
-    witness_defect: float | None
     seed: int
+    jordan: JordanReport | None = None
+    kind: MapKind = MapKind.NONE
+    u_left: np.ndarray | None = None
+    v_right: np.ndarray | None = None
+    transpose_flag: bool = False
+    w: np.ndarray | None = None
+    reconstruction_residual: float | None = None
+    witness: np.ndarray | None = None
+    witness_defect: float | None = None
     reason: str = ""
-
-
-def _certificate(verdict, v, v_res, seed, **kw) -> PreserverCertificate:
-    base = dict(
-        jordan=None,
-        kind=MapKind.NONE,
-        u_left=None,
-        v_right=None,
-        transpose_flag=False,
-        w=None,
-        reconstruction_residual=None,
-        witness=None,
-        witness_defect=None,
-        reason="",
-    )
-    base.update(kw)
-    return PreserverCertificate(
-        verdict=verdict, v=v, v_unitarity_residual=v_res, seed=seed, **base
-    )
 
 
 def _pair_unitaries(n: int, unit):
@@ -211,28 +193,30 @@ def classify_preserver(
 ) -> PreserverCertificate:
     """Decide whether a map M_n -> M_n sends unitaries to unitaries.
 
-    Steps: (1) v = image of I must be unitary; (2) for each kind the
-    theorem allows (Hom and Anti, or Commutative at n = 1) u_left is the
-    polar factor of the left factor U that ``recover_conjugating_unitary``
-    reads off phi's images of the matrix units, v_right is the polar factor
-    of u_left* v, and the map A -> u_left A v_right (transpose first for
+    Steps: (1) v = image of I must be unitary; (2) a probe picks the one
+    form the theorem allows: Commutative at n = 1, else Hom when
+    F_12 v* F_21 (F_ij the image of E_ij) is nearer F_11 than F_22 in
+    Frobenius norm, Anti otherwise, since it equals F_11 for
+    A -> U A V and F_22 for A -> U A^tr V; (3) u_left is the polar factor
+    of the left factor U that ``recover_conjugating_unitary`` reads off
+    phi's images of the matrix units, v_right is the polar factor of
+    u_left* v, and the map A -> u_left A v_right (transpose first for
     Anti) is rebuilt exactly unitary as kron(v_right^tr, u_left), its
-    columns permuted by the swap for Anti; (3) the candidate with the
-    smaller rho = ||S - R|| (operator norm of the difference of the
-    superoperator matrices) is kept, the first form on a tie.  A Frobenius
-    screen spares the loser's n^2 x n^2 SVD: ||S - R||_F / n <= ||S - R||,
-    so a candidate whose screen exceeds the best rho so far cannot win; the
-    kept candidate and its rho are those of computing every SVD.  Since
-    ||vec A|| = sqrt(n) for a unitary A, every image misses unitarity by at
-    most 2 sqrt(n) rho + n rho^2; Preserver needs that bound to pass
-    ``tol.band`` at n x n, so no unitary can contradict a Preserver.  An
-    image of I inside the band yields Inconclusive.  Any other failure runs
-    one bounded witness search, started from the matrix unit whose column
-    of S - R is largest (from I when the image of I fails), whose witness
-    (an image missing unitarity by more than 10 tol_eff) yields
-    NotPreserver and whose exhaustion yields Inconclusive.  Rectangular
-    maps get diagnostics only (Jordan report and multiplicities) because
-    the factorization theorem is about endomorphisms.
+    columns permuted by the swap for Anti; (4) rho = ||S - R|| (operator
+    norm of the difference of the superoperator matrices) is read off one
+    SVD.  Since ||vec A|| = sqrt(n) for a unitary A, every image misses
+    unitarity by at most 2 sqrt(n) rho + n rho^2; Preserver needs that
+    bound to pass ``tol.band`` at n x n, so no unitary can contradict a
+    Preserver.  A passing bound puts the probe within O(sqrt(n) rho) of the
+    right image, while F_11 and F_22 are sqrt(2) apart, so the probe never
+    costs a Preserver.  An image of I inside the band yields Inconclusive.
+    Any other failure runs one bounded witness search, started from the
+    matrix unit whose column of S - R is largest (from I when the image of
+    I fails), whose witness (an image missing unitarity by more than
+    10 tol_eff) yields NotPreserver and whose exhaustion yields
+    Inconclusive.  Rectangular maps get diagnostics only (Jordan report
+    and multiplicities) because the factorization theorem is about
+    endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
     eye = np.eye(n, dtype=np.complex128)
@@ -242,12 +226,9 @@ def classify_preserver(
 
     def reject(reason: str, starts=(), **fields) -> PreserverCertificate:
         witness, defect = _search_witness(phi, tol, seed, starts)
-        if witness is None:
-            return _certificate(
-                PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason=reason, **fields
-            )
-        return _certificate(
-            PreserverVerdict.NOT_PRESERVER, v, v_res, seed,
+        return PreserverCertificate(
+            PreserverVerdict.INCONCLUSIVE if witness is None else PreserverVerdict.NOT_PRESERVER,
+            v, v_res, seed,
             witness=witness, witness_defect=defect, reason=reason, **fields,
         )
 
@@ -255,62 +236,46 @@ def classify_preserver(
         jordan = None
         if v_band is Band.PASS:
             jordan = jordan_structure(left_multiplier(adjoint(v), phi), tol)
-        return _certificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed,
-            jordan=jordan, reason="theorem-scope",
+        return PreserverCertificate(
+            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=jordan, reason="theorem-scope"
         )
     if v_band is Band.FAIL:
         return reject("image-of-identity-not-unitary", [eye])
     if v_band is Band.INCONCLUSIVE:
-        return _certificate(
+        return PreserverCertificate(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason="image-of-identity-in-band"
         )
 
-    def residual(kind, u_left, v_right) -> np.ndarray:
-        """S - R, built in the buffer of the rebuild R."""
-        # R is kron(a, b), whose column i + j n is vec(u_left E_ij v_right),
-        # as an (n, n, n, n) outer product; Anti swaps its two column indices.
-        a, b = v_right.T, u_left
-        if kind is MapKind.ANTI:
-            rebuilt = np.multiply(a[:, None, None, :], b[None, :, :, None])
-        else:
-            rebuilt = np.multiply(a[:, None, :, None], b[None, :, None, :])
-        rebuilt = rebuilt.reshape(n * n, n * n)
-        return np.subtract(phi.matrix, rebuilt, out=rebuilt)
-
-    # Only a Frobenius screen of each form is kept, so S - R is rebuilt for
-    # the forms whose SVD is taken and for the witness start.
-    candidates, screens = [], []
-    for kind in (MapKind.COMMUTATIVE,) if n == 1 else (MapKind.HOM, MapKind.ANTI):
-        try:
-            u_left = polar_unitary(recover_conjugating_unitary(phi, kind, tol))[0]
-        except ValueError:
-            continue
-        v_right = polar_unitary(adjoint(u_left) @ v)[0]
-        candidates.append((kind, u_left, v_right))
-        # ||X||_F / n <= ||X||_2 on n^2 x n^2 matrices
-        screens.append(np.linalg.norm(residual(kind, u_left, v_right)) / n)
-    if not candidates:
+    kind = MapKind.COMMUTATIVE
+    if n > 1:
+        f = phi.images_of_matrix_units()
+        probe = f[0, 1] @ adjoint(v) @ f[1, 0]
+        hom = np.linalg.norm(probe - f[0, 0]) <= np.linalg.norm(probe - f[1, 1])
+        kind = MapKind.HOM if hom else MapKind.ANTI
+    try:
+        u_left = polar_unitary(recover_conjugating_unitary(phi, kind, tol))[0]
+    except ValueError:
         return reject("unitary-recovery-failed")
+    v_right = polar_unitary(adjoint(u_left) @ v)[0]
 
-    # the margin 1e-8 covers rounding in both norms, so a candidate that
-    # could tie gets its SVD
-    rhos = {}
-    for i in sorted(range(len(candidates)), key=screens.__getitem__):
-        if screens[i] > min(rhos.values(), default=math.inf) * (1 + 1e-8):
-            break
-        rhos[i] = operator_norm(residual(*candidates[i]))
-    best = min(rhos, key=lambda i: (rhos[i], i))
-    rho = rhos[best]
-    kind, u_left, v_right = candidates[best]
+    # R is kron(a, b), whose column i + j n is vec(u_left E_ij v_right), as
+    # an (n, n, n, n) outer product; Anti swaps its two column indices.
+    # S - R is then built in R's buffer.
+    a, b = v_right.T, u_left
+    if kind is MapKind.ANTI:
+        diff = np.multiply(a[:, None, None, :], b[None, :, :, None])
+    else:
+        diff = np.multiply(a[:, None, :, None], b[None, :, None, :])
+    diff = diff.reshape(n * n, n * n)
+    np.subtract(phi.matrix, diff, out=diff)
+    rho = operator_norm(diff)
     fields = dict(
         kind=kind, u_left=u_left, v_right=v_right,
         transpose_flag=kind is MapKind.ANTI, reconstruction_residual=rho,
     )
     if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, n, n) is Band.PASS:
-        return _certificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
+        return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
     # column i + j n of the matrix is the image of E_ij
-    diff = residual(kind, u_left, v_right)
     j, i = divmod(int(np.argmax(np.linalg.norm(diff, axis=0))), n)
     return reject("reconstruction-mismatch", _pair_unitaries(n, (i, j)), **fields)
 

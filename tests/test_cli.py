@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitball import serialize as ser
+from unitball import cli, serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from unitball.gen import InstanceSpec, InstanceKind, generate, trace_pinch_map
 from unitball.linalg import DEFAULT_TOL, haar_from_rng, matrix_unit
@@ -242,6 +242,73 @@ def test_malformed_algebra_file_is_data_error(tmp_path_factory, case):
     assert err.getvalue().count("\n") == 1 and "error" in err.getvalue()
 
 
+_BAD_DIM = st.one_of(
+    st.integers(-3, 0), st.floats(-2, 4), st.booleans(), st.text(max_size=3), st.none()
+)
+_BAD_ENTRY = st.one_of(
+    _NOT_A_NUMBER, st.just(float("nan")), st.just(float("inf")), st.just(10**400)
+)
+
+
+@st.composite
+def malformed_input_docs(draw):
+    """A matrix document for ``check-extreme`` or a superoperator document
+    for ``classify``, broken in one way."""
+    command = draw(st.sampled_from(["check-extreme", "classify"]))
+    n = draw(st.integers(1, 3))
+    if command == "classify":
+        doc = ser.superop_to_obj(identity_map(n))
+        mat, dims = doc["matrix"], ["dim_in", "dim_out", "rows", "cols"]
+        faults = ["missing", "convention", "dim", "dims", "shape", "entries"]
+    else:
+        doc = mat = ser.matrix_to_obj(np.eye(n))
+        dims, faults = ["rows", "cols"], ["missing", "dim", "shape", "entries"]
+    size = len(mat["entries"])
+    row = mat["entries"][draw(st.integers(0, size - 1))]
+    col = draw(st.integers(0, size - 1))
+    fault = draw(st.sampled_from(faults))
+    if fault == "missing":
+        target = draw(st.sampled_from([doc, mat]))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif fault == "convention":
+        doc["vec_convention"] = draw(st.one_of(
+            st.just("row-stacking"), st.text(max_size=3), st.none(), st.integers()
+        ))
+    elif fault == "dim":
+        key = draw(st.sampled_from(dims))
+        (mat if key in ("rows", "cols") else doc)[key] = draw(
+            st.one_of(_BAD_DIM, st.just(float(n)))
+        )
+    elif fault == "dims":
+        # equal nonpositive dims: the shape check alone cannot see -d
+        doc["dim_in"] = doc["dim_out"] = -n
+    elif fault == "shape":
+        key = draw(st.sampled_from(dims))
+        target = mat if key in ("rows", "cols") else doc
+        target[key] += draw(st.integers(1, 2))
+    elif draw(st.booleans()):
+        row[col][draw(st.integers(0, 1))] = draw(_BAD_ENTRY)
+    else:
+        mat["entries"] = draw(st.one_of(st.just([]), st.just({}), st.just(row), _NOT_A_NUMBER))
+    return command, doc
+
+
+@given(malformed_input_docs())
+@settings(max_examples=200, deadline=None)
+def test_malformed_matrix_or_superoperator_file_is_data_error(tmp_path_factory, case):
+    """Every broken matrix or superoperator document ends in exit 65, no
+    report on stdout and one line on stderr, never in a traceback."""
+    command, doc = case
+    path = tmp_path_factory.mktemp("input") / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code == EXIT_DATA, err.getvalue()
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "error" in err.getvalue()
+
+
 def test_check_extreme_truncated_json(tmp_path, capsys):
     path = tmp_path / "cut.json"
     path.write_text('{"rows": 2,')
@@ -328,6 +395,20 @@ def test_classify_verdict_is_reproducible(tmp_path, capsys):
     assert obj1["cross_check"] == obj2["cross_check"]
 
 
+@pytest.mark.parametrize("command", ["classify", "verify-identities"])
+@pytest.mark.parametrize("dims", [(-1, -1), (-1, 1), (1, -1)], ids=["both", "in", "out"])
+def test_nonpositive_superoperator_dims_are_data_error(tmp_path, capsys, command, dims):
+    """A 1 x 1 matrix matches the shape (d_out^2, d_in^2) of d = -1 too."""
+    doc = ser.superop_to_obj(identity_map(1))
+    doc["dim_in"], doc["dim_out"] = dims
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.count("\n") == 1 and "dims must be positive" in err
+
+
 # ------------------------------------------------------------------- make
 
 
@@ -402,6 +483,30 @@ def test_verify_identities_trace_pinch_fails_on_square_identity(tmp_path, capsys
     assert "FAIL" in err
 
 
+@pytest.mark.parametrize("factor,code,label", [
+    (0.5, EXIT_OK, "PASS"),
+    (3.0, EXIT_INCONCLUSIVE, "Inconclusive"),
+    (30.0, EXIT_NEGATIVE, "FAIL"),
+])
+def test_verify_identities_judges_by_the_band(tmp_path, capsys, factor, code, label):
+    """A preserver times (1 + d) has worst residual 2((1 + d)^4 - 1) (the
+    range and Jordan-unitary identities), set here to factor * tol_eff at
+    n = 4 (tol_eff = 4e-8): above the unscaled --tol at factor 0.5, so only
+    the dimension-scaled band passes it, and inside the band at 3."""
+    n = 4
+    target = factor * DEFAULT_TOL.effective(n, n)
+    scale = (1.0 + target / 2.0) ** 0.25
+    base = generate(InstanceSpec(n=n, kind=InstanceKind.HOM_PRESERVER, seed=2))
+    path = write_superop(tmp_path, "scaled.json", SuperOperator(n, n, scale * base.matrix))
+    got, obj, err = run_json(capsys, "verify-identities", path)
+    worst = max(obj["residuals"].values())
+    assert worst == pytest.approx(target, rel=1e-5)
+    assert worst > obj["tol"]
+    assert got == code
+    assert obj["pass"] is (label == "PASS")
+    assert err.startswith(label)
+
+
 def test_verify_identities_rectangular(tmp_path, capsys):
     phi = generate(InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=1, p=1, q=1))
     path = write_superop(tmp_path, "r.json", phi)
@@ -452,6 +557,19 @@ def test_numerical_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INCONCLUSIVE
     assert out == ""
     assert err.count("\n") == 1 and "SVD did not converge" in err
+
+
+def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
+    path = write_superop(tmp_path, "id.json", identity_map(2))
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.00 TiB")
+
+    monkeypatch.setattr(cli, "classify_preserver", exhausted)
+    code, out, err = run(capsys, "classify", path)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.count("\n") == 1 and "out of memory" in err
 
 
 def test_no_arguments_is_usage_error(capsys):

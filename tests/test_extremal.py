@@ -185,6 +185,24 @@ def test_basis_rejects_span_without_identity():
         StarAlgebraBasis([1e-9 * np.eye(2, dtype=complex)])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1e10, 1e20])
+def test_basis_accepts_elements_of_any_relative_scale(n, scale):
+    """{I, s J} with J the all-ones matrix spans a *-subalgebra (J^2 = n J)
+    at every scale s; an element of norm at most tol_eff counts as zero,
+    and {I} is closed too."""
+    basis = StarAlgebraBasis([np.eye(n, dtype=complex), scale * np.ones((n, n), dtype=complex)])
+    assert len(basis.elements) == 2
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e20, 1e200, 1.7e308])
+def test_basis_rejects_unclosed_span_at_any_scale(scale):
+    """span{I, s E_12} misses E_21 at every scale above tol_eff, including
+    scales whose Frobenius norm would overflow."""
+    with pytest.raises(ValueError, match="not closed under adjoints"):
+        StarAlgebraBasis([np.eye(2, dtype=complex), scale * (1 + 1j) * matrix_unit(2, 0, 1)])
+
+
 def test_basis_rejects_span_not_closed_under_adjoint():
     # span{I, E_12} contains products (E_12^2 = 0) but not E_21
     with pytest.raises(ValueError):
