@@ -14,13 +14,20 @@ Four subcommands:
 Machine-readable reports go to stdout as JSON; a one-line human summary
 goes to stderr (colored when stderr is a terminal, unless NO_COLOR is
 set).  Exit codes form a closed contract: 0 affirmative, 1 negative,
-2 inconclusive or out of theorem scope, 64 usage error, 65 malformed
-input file.
+2 inconclusive (out of theorem scope, numerical failure, out of memory),
+64 usage error, 65 malformed input file.
+
+:func:`main` runs every analysis command: it builds the tolerance before
+any input is read, takes the command's report, verdict label and detail,
+adds the ``run`` info and maps the label through ``_EXIT_BY_VERDICT``.
+Overflow or invalid arithmetic is a numerical failure with no report, so
+no report carries a non-finite number.  The parser is built once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -42,6 +49,17 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
+# Every analysis verdict label, as the README exit-code table maps it.
+_EXIT_BY_VERDICT = {
+    ExtremeVerdict.EXTREME.value: EXIT_OK,
+    PreserverVerdict.PRESERVER.value: EXIT_OK,
+    "PASS": EXIT_OK,
+    ExtremeVerdict.NOT_EXTREME.value: EXIT_NEGATIVE,
+    PreserverVerdict.NOT_PRESERVER.value: EXIT_NEGATIVE,
+    "FAIL": EXIT_NEGATIVE,
+    "Inconclusive": EXIT_INCONCLUSIVE,
+}
+
 _VERDICT_COLORS = {EXIT_OK: "32", EXIT_NEGATIVE: "31", EXIT_INCONCLUSIVE: "33"}
 
 
@@ -62,51 +80,31 @@ def _emit(report_obj: dict, summary: str, code: int) -> int:
     return code
 
 
-def _cmd_check_extreme(args) -> int:
-    t0 = time.perf_counter()
-    tol = Tolerance(abs=args.tol)
+def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     a = ser.matrix_from_obj(ser.load_json(args.matrix))
-
-    if a.shape[0] != a.shape[1]:
-        iso = classify_isometry(a, tol)
-        report = {
-            "run": ser.run_info(tol, None, time.perf_counter() - t0),
-            "isometry_class": iso.value,
-            "verdict": ExtremeVerdict.INCONCLUSIVE.value,
-            "reason": "nonsquare-matrix",
-        }
-        return _emit(report, f"Inconclusive: {a.shape[0]}x{a.shape[1]} matrix is not in a matrix algebra", EXIT_INCONCLUSIVE)
-
+    rows, cols = a.shape
     if args.algebra == "full":
-        basis = StarAlgebraBasis.full(a.shape[0])
+        basis = StarAlgebraBasis.full(rows)
     else:
-        dim, elems = ser.algebra_elements_from_obj(ser.load_json(args.algebra))
-        if dim != a.shape[0]:
-            raise ser.FormatError(
-                f"algebra sits in M_{dim} but the matrix is {a.shape[0]}x{a.shape[1]}"
-            )
+        _, elems = ser.algebra_elements_from_obj(ser.load_json(args.algebra))
         try:
             basis = StarAlgebraBasis(elems, tol)
         except ValueError as exc:
             raise ser.FormatError(f"algebra file: {exc}") from exc
 
+    if rows != cols:
+        verdict = ExtremeVerdict.INCONCLUSIVE.value
+        report = {"isometry_class": classify_isometry(a, tol).value, "verdict": verdict, "reason": "nonsquare-matrix"}
+        return report, verdict, f"{rows}x{cols} matrix is not in a matrix algebra"
+    if basis.n != rows:
+        raise ser.FormatError(f"algebra sits in M_{basis.n} but the matrix is {rows}x{cols}")
+
     rep = kadison_extreme_test(a, basis, tol)
-    report = {
-        "run": ser.run_info(tol, None, time.perf_counter() - t0),
-        "isometry_class": rep.isometry_class.value,
-        "report": ser.extreme_report_to_obj(rep),
-    }
-    code = {
-        ExtremeVerdict.EXTREME: EXIT_OK,
-        ExtremeVerdict.NOT_EXTREME: EXIT_NEGATIVE,
-        ExtremeVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    }[rep.verdict]
-    return _emit(report, f"{rep.verdict.value}: kadison residual {rep.kadison_residual:.3e}", code)
+    report = {"isometry_class": rep.isometry_class.value, "report": ser.extreme_report_to_obj(rep)}
+    return report, rep.verdict.value, f"kadison residual {rep.kadison_residual:.3e}"
 
 
-def _cmd_classify(args) -> int:
-    t0 = time.perf_counter()
-    tol = Tolerance(abs=args.tol)
+def _cmd_classify(args, tol: Tolerance) -> tuple[dict, str, str]:
     phi = ser.superop_from_obj(ser.load_json(args.superop))
 
     cert = classify_preserver(phi, tol, seed=args.seed)
@@ -129,14 +127,24 @@ def _cmd_classify(args) -> int:
             cross["witness_defect"] = unitarity_defect(apply(phi, witness))
         report["cross_check"] = cross
 
-    report["run"] = ser.run_info(tol, args.seed, time.perf_counter() - t0)
-    code = {
-        PreserverVerdict.PRESERVER: EXIT_OK,
-        PreserverVerdict.NOT_PRESERVER: EXIT_NEGATIVE,
-        PreserverVerdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    }[cert.verdict]
-    detail = cert.reason or f"kind {cert.kind.value}"
-    return _emit(report, f"{cert.verdict.value}: {detail}", code)
+    return report, cert.verdict.value, cert.reason or f"kind {cert.kind.value}"
+
+
+def _cmd_verify_identities(args, tol: Tolerance) -> tuple[dict, str, str]:
+    phi = ser.superop_from_obj(ser.load_json(args.superop))
+
+    if not phi.is_square:
+        report = {"verdict": "Inconclusive", "reason": "theorem-scope"}
+        return report, "Inconclusive", "identities are stated for endomorphisms"
+
+    residuals = identity_residuals(phi, samples=args.samples, seed=args.seed)
+    worst = max(residuals, key=residuals.get)
+    band = tol.band(residuals[worst], phi.dim_in, phi.dim_in)
+    report = {"samples": args.samples, "tol": args.tol, "residuals": residuals, "pass": band is Band.PASS}
+    if band is Band.PASS:
+        return report, "PASS", "all identities hold"
+    label = "FAIL" if band is Band.FAIL else "Inconclusive"
+    return report, label, f"{worst} residual {residuals[worst]:.3e}"
 
 
 def _cmd_make(args) -> int:
@@ -156,54 +164,23 @@ def _cmd_make(args) -> int:
     phi = generate(spec)
     obj = ser.superop_to_obj(phi)
     obj["meta"] = {"instance": ser.instance_spec_to_obj(spec)}
-
-    echo = {"instance": ser.instance_spec_to_obj(spec), "dim_in": phi.dim_in, "dim_out": phi.dim_out}
-    if args.out:
-        ser.save_json(args.out, obj)
-        echo["out"] = args.out
-        print(ser.dump_json(echo))
-    else:
+    if not args.out:
         print(ser.dump_json(obj))
         print(f"generated {spec.kind.value} instance, seed {spec.seed}", file=sys.stderr)
         return EXIT_OK
+
+    try:
+        ser.save_json(args.out, obj)
+    except OSError as exc:
+        print(f"make: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    echo = {"instance": obj["meta"]["instance"], "dim_in": phi.dim_in, "dim_out": phi.dim_out, "out": args.out}
+    print(ser.dump_json(echo))
     print(f"wrote {spec.kind.value} instance to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_verify_identities(args) -> int:
-    t0 = time.perf_counter()
-    tol = Tolerance(abs=args.tol)
-    phi = ser.superop_from_obj(ser.load_json(args.superop))
-
-    if not phi.is_square:
-        report = {
-            "run": ser.run_info(tol, args.seed, time.perf_counter() - t0),
-            "verdict": "Inconclusive",
-            "reason": "theorem-scope",
-        }
-        return _emit(report, "Inconclusive: identities are stated for endomorphisms", EXIT_INCONCLUSIVE)
-
-    residuals = identity_residuals(phi, samples=args.samples, seed=args.seed)
-    worst = max(residuals, key=residuals.get)
-    band = tol.band(residuals[worst], phi.dim_in, phi.dim_in)
-    report = {
-        "run": ser.run_info(tol, args.seed, time.perf_counter() - t0),
-        "samples": args.samples,
-        "tol": args.tol,
-        "residuals": residuals,
-        "pass": band is Band.PASS,
-    }
-    code, label = {
-        Band.PASS: (EXIT_OK, "PASS"),
-        Band.FAIL: (EXIT_NEGATIVE, "FAIL"),
-        Band.INCONCLUSIVE: (EXIT_INCONCLUSIVE, "Inconclusive"),
-    }[band]
-    detail = f"{worst} residual {residuals[worst]:.3e}"
-    if band is Band.PASS:
-        detail = "all identities hold"
-    return _emit(report, f"{label}: {detail}", code)
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="unitball",
@@ -242,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0, help="perturbation size (perturbed kind)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default: write the file to stdout)")
-    p.set_defaults(func=_cmd_make)
 
     p = sub.add_parser("verify-identities", help="audit the structural preserver identities")
     p.add_argument("superop", help="path to a superoperator JSON file")
@@ -261,12 +237,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (None, 0) else int(exc.code)
     try:
-        return args.func(args)
+        if args.command == "make":
+            return _cmd_make(args)
+        t0 = time.perf_counter()
+        tol = Tolerance(abs=args.tol)
+        with np.errstate(over="raise", invalid="raise"):
+            report, label, detail = args.func(args, tol)
+        report["run"] = ser.run_info(tol, getattr(args, "seed", None), time.perf_counter() - t0)
+        return _emit(report, f"{label}: {detail}", _EXIT_BY_VERDICT[label])
     except ser.FormatError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except np.linalg.LinAlgError as exc:
-        # a ValueError too, but no fault of the arguments: no verdict was reached
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # LinAlgError is a ValueError too, but no fault of the arguments: no verdict was reached
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except MemoryError as exc:

@@ -60,8 +60,8 @@ class Tolerance:
     dimension_scaling: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.abs >= 0.0):
-            raise ValueError(f"tolerance must be nonnegative, got {self.abs}")
+        if not 0.0 <= self.abs < math.inf:
+            raise ValueError(f"tolerance must be finite and nonnegative, got {self.abs}")
 
     def effective(self, rows: int, cols: int | None = None) -> float:
         if cols is None:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from unitball import cli, serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
+from unitball.extremal import ExtremeVerdict
 from unitball.gen import InstanceSpec, InstanceKind, generate, trace_pinch_map
 from unitball.linalg import DEFAULT_TOL, haar_from_rng, matrix_unit
+from unitball.preserver import PreserverVerdict
 from unitball.superop import SuperOperator, from_left_right, identity_map
 
 
@@ -82,6 +85,27 @@ def test_check_extreme_with_algebra_file(tmp_path, capsys):
     code, obj, _ = run_json(capsys, "check-extreme", mpath, "--algebra", str(apath))
     assert code == EXIT_NEGATIVE
     assert obj["report"]["witness_index"] == 1
+
+
+@pytest.mark.parametrize("algebra,code", [
+    ("missing", EXIT_DATA), ("truncated", EXIT_DATA), ("valid", EXIT_INCONCLUSIVE),
+])
+def test_check_extreme_nonsquare_reads_the_algebra_file(tmp_path, capsys, algebra, code):
+    """The algebra file is read before the shape is looked at, so a missing
+    or malformed one is a data error for a rectangular matrix too."""
+    mpath = write_matrix(tmp_path, "wide.json", np.ones((2, 3)))
+    apath = tmp_path / "algebra.json"
+    if algebra == "truncated":
+        apath.write_text("{")
+    elif algebra == "valid":
+        ser.save_json(str(apath), {"n": 2, "elements": [ser.matrix_to_obj(np.eye(2))]})
+    got, out, err = run(capsys, "check-extreme", mpath, "--algebra", str(apath))
+    assert got == code
+    assert err.count("\n") == 1
+    if code == EXIT_INCONCLUSIVE:
+        assert json.loads(out)["reason"] == "nonsquare-matrix"
+    else:
+        assert out == "" and str(apath) in err
 
 
 def test_check_extreme_algebra_not_closed_is_data_error(tmp_path, capsys):
@@ -444,6 +468,14 @@ def test_make_to_stdout_without_out_flag(tmp_path, capsys):
     assert (phi.dim_in, phi.dim_out) == (3, 3)
 
 
+def test_make_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "no-such-dir" / "x.json")
+    code, out, err = run(capsys, "make", "--kind", "hom", "--n", "2", "--out", target)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and target in err
+
+
 def test_make_invalid_dimension_is_usage_error(capsys):
     code, out, err = run(capsys, "make", "--kind", "hom", "--n", "0", "--seed", "1")
     assert code == EXIT_USAGE
@@ -546,6 +578,30 @@ def test_out_of_range_entry_is_data_error(tmp_path, capsys, number):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
+def test_infinite_tolerance_is_usage_error_before_reading_input(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, str(tmp_path / "missing.json"), "--tol", "inf")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
+def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
+    """Finite inputs whose residuals overflow get no report, whose numbers
+    would not be finite, and no RuntimeWarning."""
+    if command == "check-extreme":
+        path = write_matrix(tmp_path, "big.json", np.diag([1e300, 1e300]))
+    else:
+        path = write_superop(tmp_path, "big.json", SuperOperator(2, 2, 1e300 * np.eye(4, dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, command, path)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.count("\n") == 1 and "numerical failure: overflow" in err
+
+
 def test_numerical_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
     path = write_superop(tmp_path, "id.json", identity_map(2))
 
@@ -570,6 +626,45 @@ def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
     assert code == EXIT_INCONCLUSIVE
     assert out == ""
     assert err.count("\n") == 1 and "out of memory" in err
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    roots = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        roots.append(kwargs.get("prog") == "unitball")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    path = write_matrix(tmp_path, "eye.json", np.eye(2))
+    assert run(capsys, "check-extreme", path)[0] == EXIT_OK
+    assert run(capsys, "check-extreme", path)[0] == EXIT_OK
+    assert roots.count(True) == 1
+
+
+def test_consecutive_calls_do_not_leak_arguments(tmp_path, capsys):
+    path = write_superop(tmp_path, "id.json", identity_map(2))
+    _, first, _ = run_json(capsys, "classify", path, "--seed", "7", "--tol", "1e-6")
+    _, second, _ = run_json(capsys, "classify", path)
+    assert (first["run"]["seed"], first["run"]["tolerance"]["abs"]) == (7, 1e-6)
+    assert (second["run"]["seed"], second["run"]["tolerance"]["abs"]) == (0, 1e-8)
+
+
+# The README exit-code table, by verdict name.
+_README_EXIT = {
+    "EXTREME": EXIT_OK, "PRESERVER": EXIT_OK, "PASS": EXIT_OK,
+    "NOT_EXTREME": EXIT_NEGATIVE, "NOT_PRESERVER": EXIT_NEGATIVE, "FAIL": EXIT_NEGATIVE,
+    "INCONCLUSIVE": EXIT_INCONCLUSIVE,
+}
+_VERDICTS = [(f"{type(v).__name__}.{v.name}", v.name, v.value) for v in (*ExtremeVerdict, *PreserverVerdict)]
+_VERDICTS += [(f"identities.{label}", label.upper(), label) for label in ("PASS", "FAIL", "Inconclusive")]
+
+
+@pytest.mark.parametrize("name,label", [pytest.param(n, l, id=i) for i, n, l in _VERDICTS])
+def test_every_verdict_maps_to_its_readme_exit_code(name, label):
+    assert cli._EXIT_BY_VERDICT[label] == _README_EXIT[name]
 
 
 def test_no_arguments_is_usage_error(capsys):

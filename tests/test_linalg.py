@@ -69,6 +69,12 @@ def test_tolerance_rejects_negative():
         Tolerance(abs=-1e-9)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_tolerance_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        Tolerance(abs=value)
+
+
 def test_tolerance_band_edges():
     tol = Tolerance(abs=1e-8)
     teff = tol.effective(4, 4)
