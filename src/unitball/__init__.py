@@ -47,7 +47,6 @@ from .superop import (
     from_left_right,
     identity_map,
     transpose_map,
-    unvec,
     vec,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "SuperOperator",
     "BlockKind",
     "vec",
-    "unvec",
     "identity_map",
     "from_left_right",
     "transpose_map",

@@ -258,7 +258,7 @@ def kadison_extreme_test(
         residual = float(ln[i_star] * rn[j_star])
         best_index = i_star * n + j_star
     else:
-        norms = np.linalg.norm(dl @ basis.elements @ dr, ord=2, axis=(1, 2))
+        norms = operator_norm(dl @ basis.elements @ dr)
         best_index = int(np.argmax(norms))
         residual = float(norms[best_index])
 

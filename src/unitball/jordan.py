@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Band, Tolerance, null_space_projection
+from .linalg import DEFAULT_TOL, Band, Tolerance, null_space_projection, operator_norm
 from .superop import SuperOperator
 
 __all__ = [
@@ -64,11 +64,6 @@ class JordanReport:
     worst_square_pair: tuple[int, int, int, int] | None = None
 
 
-def _top_svals(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix in a (k, m, m) stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 def _jordan_core(psi: SuperOperator, tol: Tolerance):
     """Identity-only report, images, and pairwise products, in one pass."""
     n, m = psi.dim_in, psi.dim_out
@@ -86,16 +81,16 @@ def _jordan_core(psi: SuperOperator, tol: Tolerance):
     for i in range(n):
         target[i, :, :, i] += swapped
 
-    square_defects = _top_svals((target - sym).reshape(-1, m, m))
+    square_defects = operator_norm((target - sym).reshape(-1, m, m))
     worst_flat = int(np.argmax(square_defects))
     worst = tuple(int(x) for x in np.unravel_index(worst_flat, (n, n, n, n)))
     r_square = float(square_defects[worst_flat])
 
     star_diff = images.transpose(1, 0, 2, 3) - images.conj().transpose(0, 1, 3, 2)
-    r_star = float(_top_svals(star_diff.reshape(-1, m, m)).max())
+    r_star = float(operator_norm(star_diff.reshape(-1, m, m)).max())
 
     psi_of_eye = np.einsum("iiab->ab", images)
-    r_unital = float(np.linalg.norm(psi_of_eye - np.eye(m), ord=2))
+    r_unital = operator_norm(psi_of_eye - np.eye(m))
 
     report = JordanReport(
         r_square=r_square,
@@ -117,16 +112,16 @@ def _central_split(report: JordanReport, images, prod, tol: Tolerance) -> Jordan
 
     eye = np.eye(m, dtype=np.complex128)
     hd = hom_defect.reshape(-1, m, m)
-    r_hom = float(_top_svals(hd @ e_proj).max())
+    r_hom = float(operator_norm(hd @ e_proj).max())
 
     anti_defect = -prod.transpose(2, 3, 0, 1, 4, 5).copy()
     for j in range(n):
         anti_defect[:, j, j, :] += images
     ad = anti_defect.reshape(-1, m, m)
-    r_anti = float(_top_svals(ad @ (eye - e_proj)).max())
+    r_anti = float(operator_norm(ad @ (eye - e_proj)).max())
 
     flat_images = images.reshape(-1, m, m)
-    r_central = float(_top_svals(e_proj @ flat_images - flat_images @ e_proj).max())
+    r_central = float(operator_norm(e_proj @ flat_images - flat_images @ e_proj).max())
 
     rank_f = float(np.trace(e_proj).real)
     p = round(rank_f / n)

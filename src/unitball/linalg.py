@@ -10,6 +10,7 @@ the arguments, so values are safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +21,7 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
+    "as_matrices",
     "matrix_unit",
     "adjoint",
     "operator_norm",
@@ -27,6 +29,7 @@ __all__ = [
     "haar_unitary",
     "haar_from_rng",
     "haar_stack",
+    "haar_from_ginibre",
     "null_space_projection",
     "unitarity_defect",
     "unitary_exp",
@@ -50,10 +53,11 @@ class Tolerance:
     """Absolute tolerance with optional dimension scaling.
 
     The effective tolerance applied to an ``rows x cols`` residual is
-    ``abs * sqrt(rows * cols)`` when ``dimension_scaling`` is on, plain
-    ``abs`` otherwise.  One policy, used by every residual certificate:
-    :meth:`band` passes a residual up to the effective tolerance, fails it
-    beyond ten times that, and leaves the decade between inconclusive.
+    ``abs * sqrt(rows * cols)``, capped at the largest finite float, when
+    ``dimension_scaling`` is on, plain ``abs`` otherwise.  One policy, used
+    by every residual certificate: :meth:`band` passes a residual up to the
+    effective tolerance, fails it beyond ten times that, and leaves the
+    decade between inconclusive.
     """
 
     abs: float = 1e-8
@@ -64,10 +68,10 @@ class Tolerance:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.abs}")
 
     def effective(self, rows: int, cols: int | None = None) -> float:
-        if cols is None:
-            cols = rows
+        cols = rows if cols is None else cols
         if self.dimension_scaling:
-            return self.abs * math.sqrt(rows * cols)
+            teff = self.abs * math.sqrt(rows * cols)
+            return teff if teff <= sys.float_info.max else sys.float_info.max
         return self.abs
 
     def band(self, score: float, rows: int, cols: int | None = None) -> Band:
@@ -85,12 +89,19 @@ DEFAULT_TOL = Tolerance()
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={np.ndim(a)}")
+    return as_matrices(a)
+
+
+def as_matrices(a) -> np.ndarray:
+    """:func:`as_matrix` for a matrix or a (k, rows, cols) stack of matrices."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim not in (2, 3):
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -103,13 +114,17 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return as_matrices(a).conj().swapaxes(-1, -2)
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(a), ord=2))
+def operator_norm(a: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, or an array of them for a
+    (k, rows, cols) stack, checked like a matrix and decomposed by one
+    batched SVD, each bit-identical to the norm of its matrix alone."""
+    a = as_matrices(a)
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return float(top) if a.ndim == 2 else top
 
 
 def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +154,12 @@ def haar_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     :func:`haar_from_rng` bit for bit.
     """
     z = rng.standard_normal((count, 2, n, n))
-    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))
+    return haar_from_ginibre((z[:, 0] + 1j * z[:, 1]) / math.sqrt(2))
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """:func:`haar_stack` on a given (k, n, n) stack of Ginibre matrices."""
+    q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     ph = np.where(np.abs(d) > 0, d / np.where(np.abs(d) > 0, np.abs(d), 1.0), 1.0)
     return q * ph[:, None, :]
@@ -199,7 +219,7 @@ def unitary_exp(h: np.ndarray, t: float = 1.0) -> np.ndarray:
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def complex_gaussian(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

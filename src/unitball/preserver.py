@@ -30,7 +30,7 @@ from .linalg import (
     Tolerance,
     adjoint,
     complex_gaussian,
-    haar_from_rng,
+    haar_from_ginibre,
     haar_stack,
     hermitian_part,
     matrix_unit,
@@ -126,18 +126,13 @@ def _first_witness(phi: SuperOperator, stacks, tol: Tolerance):
     10 tol_eff, with that defect, or (None, None).
 
     ``stacks`` yields (k, n, n) stacks of candidates.  Each stack is scored
-    with one stacked product and one batched singular-value call; the
-    product runs as k matrix-vector products, the BLAS kernel ``apply``
-    uses, so every image and defect is bit-identical to scoring the
-    candidates one at a time.
+    with one stacked ``apply`` and one batched singular-value call, so
+    every image and defect is bit-identical to scoring the candidates one
+    at a time.
     """
-    n, m = phi.dim_in, phi.dim_out
     for stack in stacks:
-        # column-stacking vec of each candidate, as a column vector
-        vecs = stack.transpose(0, 2, 1).reshape(-1, n * n, 1)
-        images = (phi.matrix @ vecs).reshape(-1, m, m).transpose(0, 2, 1)
-        for u, defect in zip(stack, unitarity_defect(images).tolist()):
-            if tol.band(defect, m, m) is Band.FAIL:
+        for u, defect in zip(stack, unitarity_defect(apply(phi, stack)).tolist()):
+            if tol.band(defect, phi.dim_out) is Band.FAIL:
                 return u, defect
     return None, None
 
@@ -280,6 +275,27 @@ def classify_preserver(
     return reject("reconstruction-mismatch", _pair_unitaries(n, (i, j)), **fields)
 
 
+def _identity_norms(phi: SuperOperator, v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Norms (4, k) of the four identity residuals at k samples, given as a
+    (k, 4, n, n) stack of the complex Gaussians of S, A, B and U's Ginibre matrix."""
+    k, n = g.shape[0], phi.dim_in
+    vh, two_eye = adjoint(v), 2 * np.eye(n, dtype=np.complex128)
+    # S, A and B scaled into the unit ball
+    sab = np.stack([hermitian_part(g[:, 0]), g[:, 1], g[:, 2]])
+    s, a, b = sab / np.maximum(1.0, operator_norm(sab.reshape(-1, n, n))).reshape(3, k, 1, 1)
+    u = haar_from_ginibre(g[:, 3])
+    inputs = [s, s @ s, adjoint(a), b, adjoint(b), a, a @ b + b @ a, u]
+    fs, fss, fah, fb, fbh, fa, fab, w = apply(phi, np.concatenate(inputs)).reshape(8, k, n, n)
+    pu = vh @ w
+    residuals = np.stack([
+        adjoint(fs) @ fs - vh @ fss,
+        adjoint(fah) @ fb + adjoint(fbh) @ fa - vh @ fab,
+        adjoint(w) @ v @ vh @ w + vh @ w @ adjoint(w) @ v - two_eye,
+        adjoint(pu) @ pu + pu @ adjoint(pu) - two_eye,
+    ])
+    return operator_norm(residuals.reshape(-1, n, n)).reshape(4, k)
+
+
 def identity_residuals(
     phi: SuperOperator,
     samples: int = 50,
@@ -295,7 +311,10 @@ def identity_residuals(
     - ``jordan_unitary``: psi(U)* psi(U) + psi(U) psi(U)* - 2I with psi = V* . phi
 
     All four vanish identically for a certified preserver; large values
-    localize which structural property breaks.
+    localize which structural property breaks.  Samples are scored in
+    stacks of at most ``_MAX_STACK``, each drawn in one call in the stream
+    order of a one-at-a-time loop (S, A, B, then U), so memory does not
+    grow with ``samples`` and every residual is bit-identical to that loop's.
     """
     if not phi.is_square:
         raise ValueError("identity audit needs an endomorphism")
@@ -303,48 +322,11 @@ def identity_residuals(
         raise ValueError(f"need at least one sample, got {samples}")
     n = phi.dim_in
     rng = np.random.default_rng(seed)
-    eye = np.eye(n, dtype=np.complex128)
-    v = apply(phi, eye)
-    two_eye = 2 * np.eye(phi.dim_out, dtype=np.complex128)
-
-    def contraction() -> np.ndarray:
-        g = complex_gaussian(n, n, rng)
-        return g / max(1.0, operator_norm(g))
-
-    r_sq = r_pol = r_range = r_psi = 0.0
-    for _ in range(samples):
-        s = hermitian_part(complex_gaussian(n, n, rng))
-        s = s / max(1.0, operator_norm(s))
-        fs = apply(phi, s)
-        r_sq = max(r_sq, operator_norm(adjoint(fs) @ fs - adjoint(v) @ apply(phi, s @ s)))
-
-        a, b = contraction(), contraction()
-        lhs = adjoint(apply(phi, adjoint(a))) @ apply(phi, b)
-        lhs = lhs + adjoint(apply(phi, adjoint(b))) @ apply(phi, a)
-        r_pol = max(
-            r_pol, operator_norm(lhs - adjoint(v) @ apply(phi, a @ b + b @ a))
-        )
-
-        u = haar_from_rng(n, rng)
-        wmat = apply(phi, u)
-        r_range = max(
-            r_range,
-            operator_norm(
-                adjoint(wmat) @ v @ adjoint(v) @ wmat
-                + adjoint(v) @ wmat @ adjoint(wmat) @ v
-                - two_eye
-            ),
-        )
-
-        pu = adjoint(v) @ wmat
-        r_psi = max(
-            r_psi,
-            operator_norm(adjoint(pu) @ pu + pu @ adjoint(pu) - two_eye),
-        )
-
-    return {
-        "hermitian_square": r_sq,
-        "polarized_product": r_pol,
-        "range_alignment": r_range,
-        "jordan_unitary": r_psi,
-    }
+    v = apply(phi, np.eye(n, dtype=np.complex128))
+    worst = np.zeros(4)
+    for start in range(0, samples, _MAX_STACK):
+        z = rng.standard_normal((min(_MAX_STACK, samples - start), 4, 2, n, n))
+        g = (z[:, :, 0] + 1j * z[:, :, 1]) / math.sqrt(2)
+        worst = np.maximum(worst, _identity_norms(phi, v, g).max(axis=1))
+    keys = ("hermitian_square", "polarized_product", "range_alignment", "jordan_unitary")
+    return dict(zip(keys, worst.tolist()))

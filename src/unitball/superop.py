@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_matrices,
     as_matrix,
     unitarity_defect,
 )
@@ -26,7 +27,6 @@ __all__ = [
     "SuperOperator",
     "BlockKind",
     "vec",
-    "unvec",
     "apply",
     "identity_map",
     "from_left_right",
@@ -41,11 +41,6 @@ __all__ = [
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(a).flatten(order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``rows x cols`` target."""
-    return np.asarray(v).reshape((rows, cols), order="F")
 
 
 @dataclass(frozen=True)
@@ -94,12 +89,17 @@ class BlockKind(Enum):
 
 
 def apply(phi: SuperOperator, a: np.ndarray) -> np.ndarray:
-    """Evaluate the map on a matrix."""
-    a = as_matrix(a)
-    n = phi.dim_in
-    if a.shape != (n, n):
+    """Evaluate the map on a matrix, or on each matrix of a (k, n, n) stack,
+    checked like a matrix.  Each image is one matrix-vector product with the
+    column-stacking vec of its input, so a stack member's image is
+    bit-identical to that of the matrix alone."""
+    a = as_matrices(a)
+    n, m = phi.dim_in, phi.dim_out
+    if a.shape[-2:] != (n, n):
         raise ValueError(f"map acts on {n}x{n} matrices, got {a.shape}")
-    return unvec(phi.matrix @ vec(a), phi.dim_out, phi.dim_out)
+    vecs = a.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n, 1)
+    images = (phi.matrix @ vecs).reshape(-1, m, m).transpose(0, 2, 1)
+    return images if a.ndim == 3 else images[0]
 
 
 def identity_map(n: int) -> SuperOperator:

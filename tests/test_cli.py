@@ -587,6 +587,28 @@ def test_infinite_tolerance_is_usage_error_before_reading_input(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
+def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
+    """tol_eff = abs * sqrt(rows * cols) would overflow to inf at 1e308 on
+    2 x 2 inputs; it stops at the largest float, so each command reaches a
+    verdict and every number in its report stays finite."""
+    if command == "check-extreme":
+        path = write_matrix(tmp_path, "eye.json", np.eye(2))
+    else:
+        path = write_superop(tmp_path, "id.json", identity_map(2))
+    code, out, err = run(capsys, command, path, "--tol", "1e308")
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err
+    assert err.count("\n") == 1
+
+    def refuse(constant):
+        raise AssertionError(f"report carries {constant}")
+
+    report = json.loads(out, parse_constant=refuse)
+    assert report["run"]["tolerance"]["abs"] == 1e308
+    if command == "check-extreme":
+        assert report["report"]["margin"] == -np.finfo(float).max
+
+
+@pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     """Finite inputs whose residuals overflow get no report, whose numbers
     would not be finite, and no RuntimeWarning."""

@@ -3,6 +3,7 @@ independent oracle written inline (power iteration, entrywise loops,
 explicit reconstructions), not against the library's own output."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,15 @@ def test_tolerance_rejects_non_finite(value):
         Tolerance(abs=value)
 
 
+def test_tolerance_effective_stays_finite_for_a_huge_tolerance():
+    top = sys.float_info.max
+    tol = Tolerance(abs=1e308)
+    assert tol.effective(2, 2) == top
+    assert tol.effective(1) == 1e308
+    assert Tolerance(abs=top).effective(3, 5) == top
+    assert tol.band(top, 2, 2) is Band.PASS
+
+
 def test_tolerance_band_edges():
     tol = Tolerance(abs=1e-8)
     teff = tol.effective(4, 4)
@@ -128,6 +138,32 @@ def test_operator_norm_matches_power_iteration(shape):
 
 def test_operator_norm_of_scaled_identity():
     assert operator_norm(3.5 * np.eye(4)) == pytest.approx(3.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("k, rows, cols", [(5, 1, 1), (4, 3, 5), (3, 6, 4), (1, 4, 4)])
+def test_operator_norm_of_a_stack_matches_each_matrix(k, rows, cols):
+    rng = np.random.default_rng(12)
+    stack = np.array([random_matrix(rng, rows, cols) for _ in range(k)])
+    norms = operator_norm(stack)
+    assert isinstance(norms, np.ndarray) and norms.shape == (k,)
+    singles = [operator_norm(a) for a in stack]
+    assert all(type(x) is float for x in singles)
+    assert norms.tolist() == singles
+    for x, a in zip(singles, stack):
+        assert x == pytest.approx(power_iteration_norm(a), abs=1e-10)
+
+
+def test_operator_norm_checks_a_stack_like_a_matrix():
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(stack)
+    stack[1, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        operator_norm(stack)
+    for bad in (np.zeros(3), np.zeros((2, 2, 2, 2)), np.zeros((3, 0, 2))):
+        with pytest.raises(ValueError):
+            operator_norm(bad)
 
 
 # --------------------------------------------------------- factorizations

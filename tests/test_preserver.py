@@ -708,18 +708,53 @@ def identity_residuals_through_psi_map(phi, samples, seed):
     return out
 
 
-@pytest.mark.parametrize("label", ["hom", "anti", "pinch"])
-def test_identity_residuals_match_the_psi_map(label):
+@pytest.mark.parametrize(
+    "label, n, samples",
+    [
+        pytest.param("hom", 4, 20, id="hom"),
+        pytest.param("anti", 4, 20, id="anti"),
+        pytest.param("pinch", 4, 20, id="pinch"),
+        # stacks hold at most 64 samples: one, exactly one full, one spilling
+        # over by a sample, and a part-filled third
+        pytest.param("anti", 3, 1, id="anti-samples-1"),
+        pytest.param("pinch", 3, 64, id="pinch-samples-64"),
+        pytest.param("hom", 2, 65, id="hom-samples-65"),
+        pytest.param("perturbed", 3, 130, id="perturbed-samples-130"),
+        pytest.param("hom", 1, 65, id="hom-n-1"),
+        pytest.param("perturbed", 1, 20, id="perturbed-n-1"),
+        pytest.param("perturbed", 4, 20, id="perturbed"),
+    ],
+)
+def test_identity_residuals_match_the_psi_map(label, n, samples):
     phi = {
-        "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=5)),
-        "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=6)),
-        "pinch": lambda: trace_pinch_map(4),
+        "hom": lambda: generate(InstanceSpec(n=n, kind=InstanceKind.HOM_PRESERVER, seed=5)),
+        "anti": lambda: generate(InstanceSpec(n=n, kind=InstanceKind.ANTI_PRESERVER, seed=6)),
+        "pinch": lambda: trace_pinch_map(n),
+        "perturbed": lambda: generate(
+            InstanceSpec(n=n, kind=InstanceKind.PERTURBED_PRESERVER, seed=8, epsilon=1e-2)
+        ),
     }[label]()
-    got = identity_residuals(phi, samples=20, seed=7)
-    expected = identity_residuals_through_psi_map(phi, samples=20, seed=7)
+    got = identity_residuals(phi, samples=samples, seed=7)
+    expected = identity_residuals_through_psi_map(phi, samples=samples, seed=7)
     assert got.keys() == expected.keys()
     for key in got:
         assert got[key] == pytest.approx(expected[key], abs=1e-12)
+
+
+def test_identity_residuals_memory_does_not_grow_with_samples():
+    """Samples are scored in stacks of at most 64, so the peak traced memory
+    of the audit at n = 8 is about the same for 64 and 640 samples."""
+    phi = generate(InstanceSpec(n=8, kind=InstanceKind.ANTI_PRESERVER, seed=2))
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            identity_residuals(phi, samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(640) <= 1.5 * peak(64)
 
 
 def test_identity_residuals_expose_trace_pinch():

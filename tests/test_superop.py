@@ -17,7 +17,6 @@ from unitball.superop import (
     identity_map,
     left_multiplier,
     transpose_map,
-    unvec,
     vec,
 )
 
@@ -34,12 +33,6 @@ def rand(rng, rows, cols):
 def test_vec_is_column_stacking():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     assert np.array_equal(vec(a), np.array([1, 3, 2, 4], dtype=complex))
-
-
-def test_unvec_round_trip():
-    rng = np.random.default_rng(1)
-    a = rand(rng, 3, 5)
-    assert np.array_equal(unvec(vec(a), 3, 5), a)
 
 
 # ----------------------------------------------------------- constructor
@@ -79,6 +72,33 @@ def test_identity_map_acts_trivially():
 def test_apply_rejects_wrong_input_size():
     with pytest.raises(ValueError):
         apply(identity_map(3), np.eye(2))
+
+
+@pytest.mark.parametrize("k, n, m", [(6, 1, 1), (5, 3, 3), (4, 2, 3), (3, 3, 2), (1, 4, 4)])
+def test_apply_to_a_stack_matches_each_matrix(k, n, m):
+    rng = np.random.default_rng(10 * n + m)
+    phi = SuperOperator(n, m, rand(rng, m * m, n * n))
+    stack = np.array([rand(rng, n, n) for _ in range(k)])
+    images = apply(phi, stack)
+    assert images.shape == (k, m, m)
+    singles = [apply(phi, a) for a in stack]
+    assert all(x.shape == (m, m) for x in singles)
+    assert images.tobytes() == np.array(singles).tobytes()
+    for x, a in zip(singles, stack):
+        assert np.allclose(vec(x), phi.matrix @ vec(a), rtol=0, atol=1e-13)
+
+
+def test_apply_checks_a_stack_like_a_matrix():
+    phi = identity_map(2)
+    stack = np.zeros((3, 2, 2), dtype=complex)
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(phi, stack)
+    with pytest.raises(ValueError, match="non-finite"):
+        apply(phi, stack[2])
+    for bad in (np.zeros((3, 3, 3)), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 2)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            apply(phi, bad)
 
 
 def test_from_left_right_identity_pair():
