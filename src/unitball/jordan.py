@@ -182,11 +182,7 @@ def jordan_structure(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Jordan
     return report
 
 
-def recover_conjugating_unitary(
-    phi: SuperOperator,
-    kind: MapKind,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def recover_conjugating_unitary(phi: SuperOperator, kind: MapKind) -> np.ndarray:
     """Read off U with phi(A) = U A V (Hom) or phi(A) = U A^tr V (Anti).
 
     Matrix-unit reconstruction straight from the images of phi: the image
@@ -194,10 +190,12 @@ def recover_conjugating_unitary(
     matrix-unit indices) is the rank-one u_1 r_1, with u_1 the first column
     of U and r_1 the first row of V.  Its top right singular vector b is
     r_1* up to phase, so column i of U is the image of E_i1 applied to b.
-    For psi(A) = w A w* this is w.  The result is U up to a global phase,
-    fixed by making the first nonzero entry of the first column real
-    positive; the 1e-8 relative cutoff only picks which entry that is, a
-    phase that cancels in U A U* and so in every verdict.
+    For psi(A) = w A w* this is w.  Only an image of E_11 that is exactly
+    zero stops the read-off: on every preserver its top singular value is
+    1, and the caller's residual judges the rest.  The result is U up to a
+    global phase, fixed by making the first nonzero entry of the first
+    column real positive; the 1e-8 relative cutoff only picks which entry
+    that is, a phase that cancels in U A U* and so in every verdict.
     """
     n = phi.dim_in
     if phi.dim_out != n:
@@ -211,10 +209,8 @@ def recover_conjugating_unitary(
         raise ValueError(f"cannot recover a conjugating unitary for kind {kind}")
 
     _, s, vh = np.linalg.svd(images[0, 0])
-    if s[0] <= tol.effective(n, n):
-        raise ValueError(
-            "image of E_11 is numerically rank deficient; input is not an automorphism"
-        )
+    if s[0] == 0.0:
+        raise ValueError("image of E_11 vanished; input is not an automorphism")
     u = (images[:, 0] @ vh[0].conj()).T
 
     col = u[:, 0]

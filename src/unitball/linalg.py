@@ -199,16 +199,20 @@ def unitarity_defect(a: np.ndarray) -> float | np.ndarray:
     """max(||a* a - I||, ||a a* - I||) for a square matrix; 0 iff unitary.
 
     For square ``a`` both products have the eigenvalues s_k^2 of the
-    singular values, so the defect is max(|s_max^2 - 1|, |s_min^2 - 1|).
-    A (k, n, n) stack gets one batched SVD and an array of k defects, each
-    bit-identical to the defect of its matrix alone.
+    singular values, so the defect is max(|s_max^2 - 1|, |s_min^2 - 1|),
+    capped at the largest finite float as tol_eff is, so a huge matrix gets
+    a finite defect rather than an overflow.  A (k, n, n) stack gets one
+    batched SVD and an array of k defects, each bit-identical to the defect
+    of its matrix alone.
     """
     a = as_matrix(a) if np.ndim(a) == 2 else np.asarray(a, dtype=np.complex128)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"unitarity defect needs square matrices, got shape {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
     top, bottom = s[..., 0], s[..., -1]
-    defect = np.maximum(abs(top * top - 1.0), abs(bottom * bottom - 1.0))
+    with np.errstate(over="ignore"):
+        defect = np.maximum(abs(top * top - 1.0), abs(bottom * bottom - 1.0))
+    defect = np.minimum(defect, sys.float_info.max)
     return float(defect) if a.ndim == 2 else defect
 
 

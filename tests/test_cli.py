@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import shlex
 import time
 import warnings
 
@@ -359,8 +361,7 @@ def test_classify_identity_superop(tmp_path, capsys):
     assert cert["verdict"] == "Preserver"
     assert cert["kind"] == "Hom"
     assert cert["reconstruction_residual"] <= 1e-8
-    assert obj["cross_check"]["witness_found"] is False
-    assert obj["cross_check"]["agrees"] is True
+    assert sorted(obj) == ["certificate", "run"]
     assert "Preserver" in err
 
 
@@ -382,8 +383,7 @@ def test_classify_trace_pinch_embeds_witness(tmp_path, capsys):
     assert cert["verdict"] == "NotPreserver"
     assert cert["witness"] is not None
     assert cert["witness_defect"] > 1e-8
-    assert obj["cross_check"]["witness_found"] is True
-    assert obj["cross_check"]["agrees"] is True
+    assert sorted(obj) == ["certificate", "run"]
 
 
 def test_classify_rectangular_reports_multiplicities(tmp_path, capsys):
@@ -406,7 +406,7 @@ def test_classify_near_tolerance_map_is_inconclusive(tmp_path, capsys):
     code, obj, _ = run_json(capsys, "classify", path)
     assert code == EXIT_INCONCLUSIVE
     assert obj["certificate"]["reason"] == "image-of-identity-in-band"
-    assert obj["cross_check"]["witness_found"] is False
+    assert sorted(obj) == ["certificate", "run"]
 
 
 def test_classify_verdict_is_reproducible(tmp_path, capsys):
@@ -416,7 +416,45 @@ def test_classify_verdict_is_reproducible(tmp_path, capsys):
     _, obj2, _ = run_json(capsys, "classify", path, "--seed", "21")
     # everything except wall time is bit-identical
     assert obj1["certificate"] == obj2["certificate"]
-    assert obj1["cross_check"] == obj2["cross_check"]
+    assert sorted(obj1) == sorted(obj2) == ["certificate", "run"]
+
+
+def test_classify_has_no_falsifier_option(tmp_path, capsys):
+    path = write_superop(tmp_path, "id.json", identity_map(2))
+    code, out, err = run(capsys, "classify", path, "--falsify-trials", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--falsify-trials" in err
+
+
+def test_loose_tolerance_certifies_the_identity(tmp_path, capsys):
+    """Phi(E_11) has top singular value 1 on every preserver, so no
+    tolerance, however loose, keeps U from being read off (for --tol 1e308
+    see test_huge_finite_tolerance_gives_a_finite_report)."""
+    path = write_superop(tmp_path, "id.json", identity_map(2))
+    code, obj, err = run_json(capsys, "classify", path, "--tol", "0.5")
+    assert code == EXIT_OK, err
+    assert obj["certificate"]["verdict"] == "Preserver"
+    assert obj["certificate"]["reconstruction_residual"] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e155, 1e300])
+def test_hugely_scaled_identity_is_rejected(tmp_path, capsys, scale):
+    """|s^2 - 1| overflows from 1e155 on; the defect stops at the largest
+    float, so Phi(I) = scale I fails with witness I and a finite report."""
+    path = write_superop(tmp_path, "big.json", SuperOperator(2, 2, scale * np.eye(4, dtype=complex)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "classify", path)
+    assert code == EXIT_NEGATIVE, err
+
+    def refuse(constant):
+        raise AssertionError(f"report carries {constant}")
+
+    cert = json.loads(out, parse_constant=refuse)["certificate"]
+    assert (cert["verdict"], cert["reason"]) == ("NotPreserver", "image-of-identity-not-unitary")
+    assert np.array_equal(ser.matrix_from_obj(cert["witness"]), np.eye(2))
+    assert cert["witness_defect"] == pytest.approx(min(scale * scale - 1.0, np.finfo(float).max))
 
 
 @pytest.mark.parametrize("command", ["classify", "verify-identities"])
@@ -589,14 +627,14 @@ def test_infinite_tolerance_is_usage_error_before_reading_input(tmp_path, capsys
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
     """tol_eff = abs * sqrt(rows * cols) would overflow to inf at 1e308 on
-    2 x 2 inputs; it stops at the largest float, so each command reaches a
-    verdict and every number in its report stays finite."""
+    2 x 2 inputs; it stops at the largest float, so each command passes the
+    identity and every number in its report stays finite."""
     if command == "check-extreme":
         path = write_matrix(tmp_path, "eye.json", np.eye(2))
     else:
         path = write_superop(tmp_path, "id.json", identity_map(2))
     code, out, err = run(capsys, command, path, "--tol", "1e308")
-    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err
+    assert code == EXIT_OK, err
     assert err.count("\n") == 1
 
     def refuse(constant):
@@ -611,9 +649,15 @@ def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     """Finite inputs whose residuals overflow get no report, whose numbers
-    would not be finite, and no RuntimeWarning."""
+    would not be finite, and no RuntimeWarning.  The classify input keeps
+    Phi(I) = I and scales the images of E_12 and E_21 by 1e300, so the form
+    probe F_12 v* F_21 overflows (a scaled identity gets a verdict)."""
     if command == "check-extreme":
         path = write_matrix(tmp_path, "big.json", np.diag([1e300, 1e300]))
+    elif command == "classify":
+        m = np.eye(4, dtype=complex)
+        m[:, 1:3] *= 1e300
+        path = write_superop(tmp_path, "big.json", SuperOperator(2, 2, m))
     else:
         path = write_superop(tmp_path, "big.json", SuperOperator(2, 2, 1e300 * np.eye(4, dtype=complex)))
     with warnings.catch_warnings():
@@ -687,6 +731,18 @@ _VERDICTS += [(f"identities.{label}", label.upper(), label) for label in ("PASS"
 @pytest.mark.parametrize("name,label", [pytest.param(n, l, id=i) for i, n, l in _VERDICTS])
 def test_every_verdict_maps_to_its_readme_exit_code(name, label):
     assert cli._EXIT_BY_VERDICT[label] == _README_EXIT[name]
+
+
+def test_readme_cli_block_parses():
+    """Every flag the sh block under README's ``## CLI`` shows exists: each
+    ``unitball ...`` line goes through the parser without running its
+    command."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("unitball ")]
+    assert len(lines) >= 6
+    for words in lines:
+        assert cli._build_parser().parse_args(words[1:]).command == words[1]
 
 
 def test_no_arguments_is_usage_error(capsys):

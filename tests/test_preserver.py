@@ -17,6 +17,7 @@ from unitball.jordan import MapKind
 from unitball.linalg import (
     DEFAULT_TOL,
     Band,
+    Tolerance,
     adjoint,
     complex_gaussian,
     haar_from_rng,
@@ -155,6 +156,16 @@ def test_unreadable_map_fails_recovery():
     assert cert.reason == "unitary-recovery-failed"
     assert cert.u_left is None and cert.reconstruction_residual is None
     assert unitarity_defect(apply(phi, cert.witness)) > 10 * DEFAULT_TOL.effective(2, 2)
+
+
+@pytest.mark.parametrize("abs_tol", [0.5, 1e308])
+def test_loose_tolerance_certifies_the_identity(abs_tol):
+    """The read-off of U needs only a nonzero image of E_11, whose top
+    singular value is 1 on every preserver, so a tolerance looser than 1
+    leaves the verdict to rho."""
+    cert = classify_preserver(identity_map(2), Tolerance(abs_tol))
+    assert cert.verdict is PreserverVerdict.PRESERVER
+    assert cert.reconstruction_residual == 0.0
 
 
 def test_uniformly_scaled_preserver_is_rejected():
@@ -393,7 +404,7 @@ def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
     rhos = {}
     for kind in (MapKind.HOM, MapKind.ANTI):
         try:
-            u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind, DEFAULT_TOL))[0]
+            u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind))[0]
         except ValueError:
             continue
         rebuilt = from_left_right(u, polar_unitary(adjoint(u) @ v)[0])
@@ -433,6 +444,62 @@ def sequential_first_witness(phi, candidates):
         if DEFAULT_TOL.band(defect, m, m) is Band.FAIL:
             return index, u, defect
     return None, None, None
+
+
+def band_first_witness(phi, stacks, tol):
+    """Oracle: ``tol.band`` on each candidate in turn; (witness, defect) of
+    the first FAIL, or two Nones."""
+    for stack in stacks:
+        for u in stack:
+            defect = unitarity_defect(apply(phi, u))
+            if tol.band(defect, phi.dim_out) is Band.FAIL:
+                return u, defect
+    return None, None
+
+
+def diagonal_stack(*tops):
+    return np.stack([np.diag([t, 1.0]).astype(complex) for t in tops])
+
+
+def threshold_tol(score, n):
+    """A Tolerance whose 10 tol_eff at n x n is exactly ``score``."""
+    abs_tol = score / (10 * n)
+    for _ in range(8):
+        above = 10 * Tolerance(abs_tol).effective(n, n)
+        if above == score:
+            return Tolerance(abs_tol)
+        abs_tol = np.nextafter(abs_tol, -np.inf if above > score else np.inf)
+    raise AssertionError(f"no tolerance puts 10 tol_eff at {score!r}")
+
+
+# Under the threshold tolerance, diag(1.5, 1) sits exactly at 10 tol_eff
+# (about 1.25) and diag(1.2, 1) (about 0.44) inside the band.
+_STACKS = [diagonal_stack(1.0, 1.2), diagonal_stack(1.5, 1.2, 2.0, 3.0), diagonal_stack(1.6)]
+_HUGE = SuperOperator(2, 2, 1e200 * np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "phi,stacks,tol",
+    [
+        pytest.param(identity_map(2), _STACKS, None, id="several-fail"),
+        pytest.param(identity_map(2), [_STACKS[0], _STACKS[1][:2], _STACKS[2]], None, id="last-stack"),
+        pytest.param(identity_map(2), [_STACKS[0], diagonal_stack(1.5)], None, id="none"),
+        pytest.param(_HUGE, [diagonal_stack(1.0, 2.0)], DEFAULT_TOL, id="capped-defect"),
+        pytest.param(_HUGE, [diagonal_stack(1.0, 2.0)], Tolerance(1e308), id="capped-tol-eff"),
+    ],
+)
+def test_first_witness_matches_the_band(phi, stacks, tol):
+    """One comparison per stack finds the witness the per-candidate band
+    finds, a defect of exactly 10 tol_eff and a capped tol_eff included."""
+    if tol is None:
+        tol = threshold_tol(unitarity_defect(apply(phi, diagonal_stack(1.5)[0])), 2)
+    witness, defect = band_first_witness(phi, stacks, tol)
+    found, found_defect = preserver._first_witness(phi, iter(stacks), tol)
+    if witness is None:
+        assert found is None and found_defect is None
+    else:
+        assert found.tobytes() == witness.tobytes()
+        assert found_defect == defect
 
 
 def moved_preserver(n, seed, factor):
