@@ -335,6 +335,51 @@ def test_malformed_matrix_or_superoperator_file_is_data_error(tmp_path_factory, 
     assert err.getvalue().count("\n") == 1 and "error" in err.getvalue()
 
 
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# Bytes that no input slot takes: (slot, text), where the text stands in
+# for one value of a valid document, goes before it ("prefix") or is the
+# whole file ("file").  NaN, Infinity and 10**400 entries are covered by
+# the malformed-document test above.
+_UNREADABLE = {
+    "not-utf8": ("prefix", b"\xff\xfe"),
+    "5001-digit-integer": ("entry", b"1" + b"0" * 5000),
+    "deep-file": ("file", _DEEP),
+    "deep-rows": ("rows", _DEEP),
+    "deep-convention": ("vec_convention", _DEEP),
+}
+
+
+def _unreadable_bytes(command, slot, text):
+    if slot == "file":
+        return text
+    doc = ser.superop_to_obj(identity_map(2)) if command == "classify" else ser.matrix_to_obj(np.eye(2))
+    if slot == "prefix":
+        return text + json.dumps(doc).encode()
+    mat = doc.get("matrix", doc)
+    target, key = {"entry": (mat["entries"][1][0], 1), "rows": (mat, "rows"), "vec_convention": (doc, slot)}[slot]
+    target[key] = "@"
+    return json.dumps(doc).encode().replace(b'"@"', text)
+
+
+@pytest.mark.parametrize("command, case", [
+    (command, case)
+    for case in _UNREADABLE
+    for command in ("check-extreme", "classify")
+    if not (command == "check-extreme" and case == "deep-convention")  # a matrix has no convention
+])
+def test_unreadable_input_is_data_error(tmp_path, capsys, command, case):
+    """Bytes that are not UTF-8, an integer too long to convert and deep
+    nesting, in the whole file or in a scalar slot, end in exit 65 with no
+    report and one stderr line, never in a usage error or a traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(_unreadable_bytes(command, *_UNREADABLE[case]))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_DATA, err
+    assert out == ""
+    assert err.count("\n") == 1 and "error" in err
+
+
 def test_check_extreme_truncated_json(tmp_path, capsys):
     path = tmp_path / "cut.json"
     path.write_text('{"rows": 2,')

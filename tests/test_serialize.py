@@ -7,6 +7,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unitball import serialize as ser
 from unitball.extremal import IsometryClass, StarAlgebraBasis, kadison_extreme_test
@@ -40,6 +42,43 @@ def test_matrix_bit_exact_round_trip():
     assert np.array_equal(back, a)
     # in memory, without JSON text
     assert np.array_equal(ser.matrix_from_obj(ser.matrix_to_obj(a)), a)
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+    elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_DOUBLES)),
+))
+@example(np.array(_EDGE_DOUBLES + [1.0]).reshape(1, 4, 2))
+@settings(max_examples=200, deadline=None)
+def test_file_round_trip_is_bit_exact(tmp_path_factory, parts):
+    """A matrix written by save_json and read back by load_json has the
+    same bits in every entry: subnormals, signed zeros and the largest
+    finite doubles included."""
+    a = parts.view(np.complex128).reshape(parts.shape[:2])
+    path = str(tmp_path_factory.mktemp("roundtrip") / "m.json")
+    ser.save_json(path, ser.matrix_to_obj(a))
+    back = ser.matrix_from_obj(ser.load_json(path))
+    assert np.array_equal(back.view(np.int64), a.view(np.int64))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(-10**30, 10**30), min_size=2 * k, max_size=2 * k)
+))
+@example([2**63 - 1, 2**63, 2**64 - 1, 2**64, -2**63, -2**63 - 1, 2**53 + 1, 2**64 + 2**11])
+@example([10**30, -10**30])
+@settings(max_examples=200, deadline=None)
+def test_integer_entries_parse_to_the_nearest_double(tmp_path_factory, ints):
+    """An integer entry in a file reads as np.float64(int), the correctly
+    rounded double, beyond 64 bits and at rounding ties too."""
+    doc = {"rows": 1, "cols": len(ints) // 2, "entries": [[ints[k : k + 2] for k in range(0, len(ints), 2)]]}
+    path = str(tmp_path_factory.mktemp("ints") / "m.json")
+    ser.save_json(path, doc)
+    back = ser.matrix_from_obj(ser.load_json(path)).view(np.float64).ravel()
+    assert np.array_equal(back.view(np.int64), np.array([np.float64(x) for x in ints]).view(np.int64))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (12, 12)])
