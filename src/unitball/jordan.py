@@ -8,9 +8,8 @@ residual here a finite, exact scan.
 
 For a unital Jordan *-homomorphism there is a central projection E
 splitting it into a *-homomorphism (on E) and a *-antihomomorphism (on
-I - E).  The projection is computed constructively as the maximal
-projection annihilating the multiplicative defects on the right, then
-certified a posteriori by the r_hom / r_anti / r_central residuals.
+I - E).  The projection is read off four images, then certified a
+posteriori by the r_hom / r_anti / r_central residuals.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Band, Tolerance, null_space_projection, operator_norm
+from .linalg import DEFAULT_TOL, Band, Tolerance, hermitian_part, operator_norm
 from .superop import SuperOperator
 
 __all__ = [
@@ -65,23 +64,25 @@ class JordanReport:
 
 
 def _jordan_core(psi: SuperOperator, tol: Tolerance):
-    """Identity-only report, images, and pairwise products, in one pass."""
+    """Identity-only report, images, and multiplicative defects, in one pass.
+
+    The defects D[i,j,k,l] = psi(E_ij E_kl) - psi(E_ij) psi(E_kl) are built
+    in the buffer of the pairwise products, using E_ij E_kl = d_jk E_il;
+    the buffer is C-ordered, so every reshape of it is a view, not a copy.
+    The linearized square defect of the pair is D + D^tr, with D^tr the
+    transpose on the pair axes.
+    """
     n, m = psi.dim_in, psi.dim_out
     images = psi.images_of_matrix_units()
 
-    # prod[i,j,k,l] = psi(E_ij) @ psi(E_kl)
-    prod = np.einsum("ijab,klbc->ijklac", images, images)
-    sym = prod + prod.transpose(2, 3, 0, 1, 4, 5)
+    defects = np.einsum("ijab,klbc->ijklac", images, images, order="C")
+    np.negative(defects, out=defects)
+    r = np.arange(n)
+    defects[:, r, r] += images[:, None]
 
-    # target[i,j,k,l] = psi(E_ij E_kl + E_kl E_ij), using E_ij E_kl = d_jk E_il
-    target = np.zeros_like(sym)
-    for j in range(n):
-        target[:, j, j, :] += images
-    swapped = images.transpose(1, 0, 2, 3)
-    for i in range(n):
-        target[i, :, :, i] += swapped
-
-    square_defects = operator_norm((target - sym).reshape(-1, m, m))
+    square_defects = operator_norm(
+        (defects + defects.transpose(2, 3, 0, 1, 4, 5)).reshape(-1, m, m)
+    )
     worst_flat = int(np.argmax(square_defects))
     worst = tuple(int(x) for x in np.unravel_index(worst_flat, (n, n, n, n)))
     r_square = float(square_defects[worst_flat])
@@ -99,43 +100,44 @@ def _jordan_core(psi: SuperOperator, tol: Tolerance):
         is_jordan=tol.band(max(r_square, r_star), m, m) is Band.PASS,
         worst_square_pair=worst,
     )
-    return report, images, prod
+    return report, images, defects
 
 
-def _central_split(report: JordanReport, images, prod, tol: Tolerance) -> JordanReport:
-    """The split of :func:`stormer_split`, from a core that passed its identities."""
+def _hom_basis(images) -> np.ndarray:
+    """Orthonormal columns spanning the range of the central projection E.
+
+    On the hom part psi(E_12) psi(E_21) is psi(E_11), on the anti part it
+    is psi(E_22), so H = psi(E_11) psi(E_12) psi(E_21) is the hom part of
+    psi(E_11) and E = sum_i psi(E_i1) H psi(E_1i); the columns span the
+    eigenvectors of its Hermitian part above 1/2.  At n = 1, E = I.
+    """
     n, m = images.shape[0], images.shape[2]
-    hom_defect = -prod.copy()
-    for j in range(n):
-        hom_defect[:, j, j, :] += images
-    e_proj = null_space_projection(hom_defect.reshape(-1, m), tol)
+    if n == 1:
+        return np.eye(m, dtype=np.complex128)
+    h = images[0, 0] @ images[0, 1] @ images[1, 0]
+    w, v = np.linalg.eigh(hermitian_part((images[:, 0] @ h @ images[0]).sum(axis=0)))
+    return v[:, w > 0.5]
 
-    eye = np.eye(m, dtype=np.complex128)
-    hd = hom_defect.reshape(-1, m, m)
-    r_hom = float(operator_norm(hd @ e_proj).max())
 
-    anti_defect = -prod.transpose(2, 3, 0, 1, 4, 5).copy()
-    for j in range(n):
-        anti_defect[:, j, j, :] += images
-    ad = anti_defect.reshape(-1, m, m)
-    r_anti = float(operator_norm(ad @ (eye - e_proj)).max())
+def _central_split(report: JordanReport, images, defects) -> JordanReport:
+    """The split of :func:`stormer_split`, from a core that passed its
+    identities; turns ``defects`` into the anti defects in place."""
+    n, m = images.shape[0], images.shape[2]
+    basis = _hom_basis(images)
+    e_proj = basis @ basis.conj().T
+    r_hom = float(operator_norm(defects.reshape(-1, m, m) @ e_proj).max())
+
+    # D[i,j,k,l] becomes psi(E_kl E_ij) - psi(E_ij) psi(E_kl)
+    r = np.arange(n)
+    defects[:, r, r] -= images[:, None]
+    defects[r, :, :, r] += images.transpose(1, 0, 2, 3)[None]
+    r_anti = float(operator_norm(defects.reshape(-1, m, m) @ (np.eye(m) - e_proj)).max())
 
     flat_images = images.reshape(-1, m, m)
     r_central = float(operator_norm(e_proj @ flat_images - flat_images @ e_proj).max())
 
-    rank_f = float(np.trace(e_proj).real)
-    p = round(rank_f / n)
-    q = round((m - rank_f) / n)
-    integral = (
-        abs(rank_f - p * n) <= 0.1
-        and abs((m - rank_f) - q * n) <= 0.1
-        and p * n + q * n == m
-        and p >= 0
-        and q >= 0
-    )
-    if not integral:
-        p, q = -1, -1
-
+    rank = basis.shape[1]
+    p, q = (rank // n, (m - rank) // n) if rank % n == (m - rank) % n == 0 else (-1, -1)
     return replace(
         report, e=e_proj, p=p, q=q, r_hom=r_hom, r_anti=r_anti, r_central=r_central
     )
@@ -154,12 +156,13 @@ def jordan_check(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanRepo
 def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
     """Split a unital Jordan *-homomorphism by its central projection.
 
-    The projection E is the maximal one annihilated on the right by every
-    multiplicative defect psi(E_ij E_kl) - psi(E_ij) psi(E_kl); the report
-    certifies it with r_hom (homomorphic on E), r_anti (antihomomorphic on
-    I - E) and r_central (E commutes with the image).  Multiplicities
-    (p, q) with p + q blocks of size dim_in are read off rank(E) when it is
-    integral within 0.1, else both are -1.
+    The projection E is read off the images of E_11, E_12 and E_21 and
+    of E_i1, E_1i, with no tolerance; the report certifies it with r_hom
+    (every multiplicative defect psi(E_ij E_kl) - psi(E_ij) psi(E_kl)
+    vanishes on E), r_anti (antihomomorphic on I - E) and r_central (E
+    commutes with the image).  Multiplicities (p, q) with p + q blocks of
+    size dim_in are rank(E) / dim_in and (dim_out - rank(E)) / dim_in when
+    dim_in divides both exactly, else both are -1.
     """
     report = jordan_structure(psi, tol)
     if not report.is_jordan:
@@ -176,9 +179,9 @@ def jordan_structure(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> Jordan
     """The report of :func:`stormer_split` when psi is a unital Jordan map,
     else that of :func:`jordan_check`, from a single evaluation of the
     identities."""
-    report, images, prod = _jordan_core(psi, tol)
+    report, images, defects = _jordan_core(psi, tol)
     if report.is_jordan and report.r_unital <= tol.effective(psi.dim_out, psi.dim_out):
-        return _central_split(report, images, prod, tol)
+        return _central_split(report, images, defects)
     return report
 
 

@@ -1,8 +1,6 @@
 """Dense complex linear algebra primitives shared by every other module.
 
 All matrices are dense two dimensional ``numpy`` arrays of ``complex128``.
-Rank decisions (null spaces, PSD clamping) are always made by thresholding
-singular values or eigenvalues, never via determinants.
 Every function is pure: inputs are never mutated and results depend only on
 the arguments, so values are safe to share between threads.
 """
@@ -30,7 +28,6 @@ __all__ = [
     "haar_from_rng",
     "haar_stack",
     "haar_from_ginibre",
-    "null_space_projection",
     "unitarity_defect",
     "unitary_exp",
     "hermitian_part",
@@ -175,24 +172,6 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return haar_from_rng(n, np.random.default_rng(seed))
-
-
-def null_space_projection(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projection onto the kernel of ``a``.
-
-    Computed from the SVD of ``a``, counting singular values below the
-    effective tolerance as zero.
-    """
-    a = as_matrix(a)
-    # Thin SVD already carries the complete row space of V when ``a`` is
-    # tall; the full decomposition is only needed (and only cheap) when it is
-    # wide, where thin V would miss the kernel directions.
-    wide = a.shape[0] < a.shape[1]
-    _, s, vh = np.linalg.svd(a, full_matrices=wide)
-    cutoff = tol.effective(*a.shape)
-    rank = int(np.count_nonzero(s > cutoff))
-    null_basis = vh[rank:].conj().T
-    return null_basis @ null_basis.conj().T
 
 
 def unitarity_defect(a: np.ndarray) -> float | np.ndarray:

@@ -154,7 +154,10 @@ def left_multiplier(v: np.ndarray, phi: SuperOperator) -> SuperOperator:
     m = phi.dim_out
     if v.shape != (m, m):
         raise ValueError(f"left factor must be {m}x{m}, got {v.shape}")
-    return compose(from_left_right(v, np.eye(m, dtype=np.complex128)), phi)
+    # read in F order, the columns vec(phi(E_ij)) lie side by side as m x m images
+    n2 = phi.dim_in**2
+    product = v @ phi.matrix.reshape((m, m * n2), order="F")
+    return SuperOperator(phi.dim_in, m, product.reshape((m * m, n2), order="F"))
 
 
 def direct_sum_embedding(

@@ -2,16 +2,20 @@
 a literal four-index loop over matrix-unit pairs, and the central splitting
 is compared with the projection known in closed form for block embeddings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unitball.jordan import (
     MapKind,
     jordan_check,
+    jordan_structure,
     recover_conjugating_unitary,
     stormer_split,
 )
 from unitball.linalg import (
+    Tolerance,
     complex_gaussian,
     haar_unitary,
     hermitian_part,
@@ -30,6 +34,7 @@ from unitball.superop import (
     transpose_map,
 )
 from unitball.gen import trace_pinch_map
+from unitball.preserver import classify_preserver
 
 from map_norm import map_norm_lower_bound
 
@@ -197,6 +202,52 @@ def test_herstein_dichotomy_for_endomorphisms(n):
         rep = stormer_split(psi)
         assert min(operator_norm(rep.e), operator_norm(rep.e - np.eye(n))) <= 1e-8
         assert (rep.p, rep.q) == ((0, 1) if k % 2 else (1, 0))
+
+
+def _block_embedding(n, p, q, seed):
+    kinds = [BlockKind.ID] * p + [BlockKind.TRANSPOSE] * q
+    return direct_sum_embedding(kinds, haar_unitary((p + q) * n, seed))
+
+
+@pytest.mark.parametrize("abs_tol", [1e-12, 1e-8, 1e-4, 0.5])
+@pytest.mark.parametrize("n,p,q", [(2, 1, 1), (3, 2, 1), (2, 0, 3)])
+def test_multiplicities_do_not_depend_on_the_tolerance(n, p, q, abs_tol):
+    """E is read off the images, so no tolerance, however loose, can change
+    the multiplicities of an exact block embedding."""
+    phi = _block_embedding(n, p, q, 10 * n + p)
+    tol = Tolerance(abs_tol)
+    split = stormer_split(phi, tol)
+    assert (split.p, split.q) == (p, q)
+    jordan = classify_preserver(phi, tol).jordan
+    assert (jordan.p, jordan.q) == (p, q)
+
+
+def test_scalar_source_splits_as_the_identity():
+    """A -> A W from M_1 to M_3: psi = W* phi is a -> a I, so E = I and the
+    image is three hom blocks."""
+    w = haar_unitary(3, 71)
+    phi = SuperOperator(1, 3, w.reshape(-1, 1, order="F"))
+    jordan = classify_preserver(phi).jordan
+    assert operator_norm(jordan.e - np.eye(3)) <= 1e-12
+    assert (jordan.p, jordan.q) == (3, 0)
+    assert max(jordan.r_hom, jordan.r_anti, jordan.r_central) <= 1e-12
+
+
+def test_jordan_structure_memory_stays_near_the_defect_array():
+    """One n^4 m^2 defect array is built, and the split reuses it in place,
+    so the traced peak at n = 6, m = 24 stays within 2.5 times its size
+    (the defect array plus one temporary of its size)."""
+    n, p, q = 6, 2, 2
+    psi = _block_embedding(n, p, q, 73)
+    m = psi.dim_out
+    tracemalloc.start()
+    try:
+        rep = jordan_structure(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.p, rep.q) == (p, q)
+    assert peak <= 2.5 * n**4 * m**2 * 16
 
 
 # ------------------------------------------------------ unitary recovery

@@ -21,7 +21,6 @@ from unitball.linalg import (
     haar_unitary,
     hermitian_part,
     matrix_unit,
-    null_space_projection,
     operator_norm,
     polar_unitary,
     unitarity_defect,
@@ -258,38 +257,6 @@ def test_haar_stack_matches_sequential_draws(n):
 def test_haar_rejects_bad_dimension():
     with pytest.raises(ValueError):
         haar_unitary(0, 1)
-
-
-# ------------------------------------------------------------ null space
-
-
-def test_null_space_projection_known_kernel():
-    # rows kill e0 and e1, so the kernel is span{e2} exactly
-    m = np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)
-    p = null_space_projection(m)
-    assert np.allclose(p, np.diag([0, 0, 1]), atol=1e-12)
-
-
-def test_null_space_projection_common_kernel_of_two():
-    a = np.array([[1, 0, 0, 0]], dtype=complex)
-    b = np.array([[0, 1, 1, 0]], dtype=complex)
-    p = null_space_projection(np.vstack([a, b]))
-    # kernel is span{(0,1,-1,0)/sqrt2, e3}
-    assert np.trace(p).real == pytest.approx(2.0, abs=1e-12)
-    assert operator_norm(a @ p) < 1e-12
-    assert operator_norm(b @ p) < 1e-12
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert np.allclose(p, p.conj().T, atol=1e-12)
-
-
-@pytest.mark.parametrize("rows,cols", [(2, 6), (9, 4), (40, 5)])
-def test_null_space_projection_random_annihilates(rows, cols):
-    rng = np.random.default_rng(rows * 31 + cols)
-    a = random_matrix(rng, rows, cols)
-    p = null_space_projection(a)
-    assert operator_norm(a @ p) < 1e-10
-    expected_rank = cols - min(rows, cols)
-    assert np.trace(p).real == pytest.approx(expected_rank, abs=1e-9)
 
 
 # ----------------------------------------------- defects and projections
