@@ -26,6 +26,7 @@ from .gen import InstanceKind, InstanceSpec, corpus, derive_seed, generate, trac
 from .jordan import (
     JordanReport,
     MapKind,
+    StormerSplit,
     jordan_check,
     recover_conjugating_unitary,
     stormer_split,
@@ -77,6 +78,7 @@ __all__ = [
     "direct_sum_embedding",
     "MapKind",
     "JordanReport",
+    "StormerSplit",
     "jordan_check",
     "stormer_split",
     "recover_conjugating_unitary",

@@ -1,33 +1,35 @@
-"""Jordan *-homomorphism verification, central splitting, and unitary recovery.
+"""Jordan *-homomorphism verification, the Størmer split, and unitary recovery.
 
 A linear map J between *-algebras is a Jordan *-homomorphism when
 J(x)^2 = J(x^2) and J(x*) = J(x)*; by linearization the first identity is
 equivalent to J(x)J(y) + J(y)J(x) = J(xy + yx).  Checking the identities on
 all pairs of matrix units suffices by bilinearity, which keeps every
-residual here a finite, exact scan.
+residual of :func:`jordan_check` a finite, exact scan.
 
-For a unital Jordan *-homomorphism there is a central projection E
-splitting it into a *-homomorphism (on E) and a *-antihomomorphism (on
-I - E).  The projection is read off four images, then certified a
-posteriori by the r_hom / r_anti / r_central residuals.
+A unital Jordan *-homomorphism psi: M_n -> M_m has the form
+psi(A) = W (A kron I_p + A^tr kron I_q) W* with W unitary and
+m = (p + q) n (Størmer).  :func:`stormer_split` reads one candidate W off
+the images of the matrix units, rebuilds the map from it, and lets one
+residual rho = ||S_psi - R|| decide, as the square classifier does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Band, Tolerance, hermitian_part, operator_norm
+from .linalg import DEFAULT_TOL, Band, Tolerance, hermitian_part, operator_norm, polar_unitary
 from .superop import SuperOperator
 
 __all__ = [
     "MapKind",
     "JordanReport",
+    "StormerSplit",
     "jordan_check",
+    "read_off_split",
     "stormer_split",
-    "jordan_structure",
     "recover_conjugating_unitary",
 ]
 
@@ -41,41 +43,61 @@ class MapKind(Enum):
 
 @dataclass(frozen=True)
 class JordanReport:
-    """Jordan identity residuals plus, when computed, the central splitting.
+    """Jordan identity residuals over matrix-unit pairs.
 
-    ``r_square`` is the worst defect of the linearized square identity over
-    matrix-unit pairs, ``r_star`` the worst adjoint defect, ``r_unital``
-    the distance of the image of I from I.  The splitting fields stay at
-    their sentinels (``e=None``, ``p=q=-1``, residuals ``None``) for an
-    identity-only report.
+    ``r_square`` is the worst defect of the linearized square identity,
+    ``r_star`` the worst adjoint defect, ``r_unital`` the distance of the
+    image of I from I.  ``worst_square_pair`` names the pair (i, j, k, l)
+    of E_ij, E_kl with the worst square defect when ``r_square`` exceeds
+    tol_eff, and is None otherwise: below it the defects are rounding
+    noise and their argmax names no pair.
     """
 
     r_square: float
     r_star: float
     r_unital: float
     is_jordan: bool
-    e: np.ndarray | None = None
-    p: int = -1
-    q: int = -1
-    r_hom: float | None = None
-    r_anti: float | None = None
-    r_central: float | None = None
     worst_square_pair: tuple[int, int, int, int] | None = None
 
 
-def _jordan_core(psi: SuperOperator, tol: Tolerance):
-    """Identity-only report, images, and multiplicative defects, in one pass.
+@dataclass(frozen=True)
+class StormerSplit:
+    """psi(A) = w (A kron I_p + A^tr kron I_q) w*, certified by one residual.
+
+    ``residual`` is rho = ||S_psi - R||, the operator-norm distance between
+    the superoperator matrix of psi and that of the map R rebuilt from
+    ``w``; it is None when the read-off ranks give no square ``w``.  Unless
+    rho passes ``tol.band`` at m x m, p = q = -1 and ``w`` is None.  ``e``
+    is the central projection onto the hom columns of ``w``.
+    """
+
+    p: int
+    q: int
+    w: np.ndarray | None
+    residual: float | None
+
+    @property
+    def e(self) -> np.ndarray | None:
+        if self.w is None:
+            return None
+        hom = self.w[:, : self.w.shape[0] // (self.p + self.q) * self.p]
+        return hom @ hom.conj().T
+
+
+def jordan_check(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
+    """Evaluate the Jordan identities on all matrix-unit pairs.
 
     The defects D[i,j,k,l] = psi(E_ij E_kl) - psi(E_ij) psi(E_kl) are built
     in the buffer of the pairwise products, using E_ij E_kl = d_jk E_il;
-    the buffer is C-ordered, so every reshape of it is a view, not a copy.
-    The linearized square defect of the pair is D + D^tr, with D^tr the
-    transpose on the pair axes.
+    the linearized square defect of the pair is D + D^tr, with D^tr the
+    transpose on the pair axes.  ``is_jordan`` is ``max(r_square, r_star)``
+    passing ``tol.band`` (a Jordan map need not be unital, so ``r_unital``
+    is reported but not gated).
     """
     n, m = psi.dim_in, psi.dim_out
-    images = psi.images_of_matrix_units()
+    images = np.ascontiguousarray(psi.images_of_matrix_units())
 
-    defects = np.einsum("ijab,klbc->ijklac", images, images, order="C")
+    defects = images[:, :, None, None] @ images
     np.negative(defects, out=defects)
     r = np.arange(n)
     defects[:, r, r] += images[:, None]
@@ -84,105 +106,77 @@ def _jordan_core(psi: SuperOperator, tol: Tolerance):
         (defects + defects.transpose(2, 3, 0, 1, 4, 5)).reshape(-1, m, m)
     )
     worst_flat = int(np.argmax(square_defects))
-    worst = tuple(int(x) for x in np.unravel_index(worst_flat, (n, n, n, n)))
     r_square = float(square_defects[worst_flat])
+    worst = np.unravel_index(worst_flat, (n, n, n, n))
+    worst = tuple(map(int, worst)) if r_square > tol.effective(m, m) else None
 
     star_diff = images.transpose(1, 0, 2, 3) - images.conj().transpose(0, 1, 3, 2)
     r_star = float(operator_norm(star_diff.reshape(-1, m, m)).max())
-
-    psi_of_eye = np.einsum("iiab->ab", images)
-    r_unital = operator_norm(psi_of_eye - np.eye(m))
-
-    report = JordanReport(
-        r_square=r_square,
-        r_star=r_star,
-        r_unital=r_unital,
-        is_jordan=tol.band(max(r_square, r_star), m, m) is Band.PASS,
-        worst_square_pair=worst,
-    )
-    return report, images, defects
+    r_unital = operator_norm(np.einsum("iiab->ab", images) - np.eye(m))
+    is_jordan = tol.band(max(r_square, r_star), m, m) is Band.PASS
+    return JordanReport(r_square, r_star, r_unital, is_jordan, worst)
 
 
-def _hom_basis(images) -> np.ndarray:
-    """Orthonormal columns spanning the range of the central projection E.
-
-    On the hom part psi(E_12) psi(E_21) is psi(E_11), on the anti part it
-    is psi(E_22), so H = psi(E_11) psi(E_12) psi(E_21) is the hom part of
-    psi(E_11) and E = sum_i psi(E_i1) H psi(E_1i); the columns span the
-    eigenvectors of its Hermitian part above 1/2.  At n = 1, E = I.
-    """
-    n, m = images.shape[0], images.shape[2]
-    if n == 1:
-        return np.eye(m, dtype=np.complex128)
-    h = images[0, 0] @ images[0, 1] @ images[1, 0]
-    w, v = np.linalg.eigh(hermitian_part((images[:, 0] @ h @ images[0]).sum(axis=0)))
+def _above_half(a: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors of the Hermitian part of ``a`` with eigenvalue above 1/2."""
+    w, v = np.linalg.eigh(hermitian_part(a))
     return v[:, w > 0.5]
 
 
-def _central_split(report: JordanReport, images, defects) -> JordanReport:
-    """The split of :func:`stormer_split`, from a core that passed its
-    identities; turns ``defects`` into the anti defects in place."""
+def read_off_split(images: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
+    """The split of :func:`stormer_split` from the (n, n, m, m) images
+    psi(E_ij), returned with p = q = -1 instead of raising.
+
+    On the hom part psi(E_12) psi(E_21) is psi(E_11), on the anti part it
+    is psi(E_22), so with P = psi(E_11), H = P psi(E_12) psi(E_21) is the
+    hom part of P (H = P at n = 1).  X and Y span the eigenvectors above
+    1/2 of H and P - H; the columns psi(E_i1) X and psi(E_1i) Y, ordered
+    as in A kron I_p and A^tr kron I_q, make W after a polar factor, and
+    R(E_ij) = sum_a w_ia w_ja* + sum_b w_jb w_ib* is rebuilt by two
+    einsums.  No tolerance picks X or Y: any choice gives an exactly
+    unitary W, and rho decides.
+    """
     n, m = images.shape[0], images.shape[2]
-    basis = _hom_basis(images)
-    e_proj = basis @ basis.conj().T
-    r_hom = float(operator_norm(defects.reshape(-1, m, m) @ e_proj).max())
+    top = images[0, 0]
+    hom_part = top @ images[0, 1] @ images[1, 0] if n > 1 else top
+    x, y = _above_half(hom_part), _above_half(top - hom_part)
+    p, q = x.shape[1], y.shape[1]
+    if (p + q) * n != m:
+        return StormerSplit(-1, -1, None, None)
+    hom = (images[:, 0] @ x).transpose(1, 0, 2).reshape(m, n * p)
+    anti = (images[0] @ y).transpose(1, 0, 2).reshape(m, n * q)
+    w = polar_unitary(np.hstack([hom, anti]))[0]
+    wh, wa = w[:, : n * p].reshape(m, n, p), w[:, n * p :].reshape(m, n, q)
 
-    # D[i,j,k,l] becomes psi(E_kl E_ij) - psi(E_ij) psi(E_kl)
-    r = np.arange(n)
-    defects[:, r, r] -= images[:, None]
-    defects[r, :, :, r] += images.transpose(1, 0, 2, 3)[None]
-    r_anti = float(operator_norm(defects.reshape(-1, m, m) @ (np.eye(m) - e_proj)).max())
-
-    flat_images = images.reshape(-1, m, m)
-    r_central = float(operator_norm(e_proj @ flat_images - flat_images @ e_proj).max())
-
-    rank = basis.shape[1]
-    p, q = (rank // n, (m - rank) // n) if rank % n == (m - rank) % n == 0 else (-1, -1)
-    return replace(
-        report, e=e_proj, p=p, q=q, r_hom=r_hom, r_anti=r_anti, r_central=r_central
-    )
+    diff = np.einsum("xia,yja->ijxy", wh, wh.conj(), order="C")
+    diff += np.einsum("xjb,yib->ijxy", wa, wa.conj())
+    np.subtract(images, diff, out=diff)
+    rho = operator_norm(diff.reshape(n * n, m * m))
+    passed = tol.band(rho, m, m) is Band.PASS
+    return StormerSplit(p, q, w, rho) if passed else StormerSplit(-1, -1, None, rho)
 
 
-def jordan_check(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
-    """Evaluate the Jordan identities on all matrix-unit pairs.
+def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
+    """Split a unital Jordan *-homomorphism psi: M_n -> M_m as
+    psi(A) = W (A kron I_p + A^tr kron I_q) W*.
 
-    Fills only the identity fields of the report; ``is_jordan`` is
-    ``max(r_square, r_star) <= tol`` (a Jordan map need not be unital, so
-    ``r_unital`` is reported but not gated).
+    The candidate W is read off the images of the matrix units (see
+    :func:`read_off_split`); it is accepted when rho = ||S_psi - R|| passes
+    ``tol.band`` at m x m.  Raises ``ValueError`` naming rho otherwise, or
+    when the read-off ranks give no m x m conjugator.
     """
-    return _jordan_core(psi, tol)[0]
-
-
-def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
-    """Split a unital Jordan *-homomorphism by its central projection.
-
-    The projection E is read off the images of E_11, E_12 and E_21 and
-    of E_i1, E_1i, with no tolerance; the report certifies it with r_hom
-    (every multiplicative defect psi(E_ij E_kl) - psi(E_ij) psi(E_kl)
-    vanishes on E), r_anti (antihomomorphic on I - E) and r_central (E
-    commutes with the image).  Multiplicities (p, q) with p + q blocks of
-    size dim_in are rank(E) / dim_in and (dim_out - rank(E)) / dim_in when
-    dim_in divides both exactly, else both are -1.
-    """
-    report = jordan_structure(psi, tol)
-    if not report.is_jordan:
+    split = read_off_split(psi.images_of_matrix_units(), tol)
+    if split.residual is None:
         raise ValueError(
-            f"not a Jordan *-homomorphism within tolerance "
-            f"(r_square={report.r_square:.3e}, r_star={report.r_star:.3e})"
+            f"no Størmer split: the read-off ranks give no conjugator for "
+            f"M_{psi.dim_in} -> M_{psi.dim_out}"
         )
-    if report.e is None:
-        raise ValueError(f"map is not unital within tolerance (r_unital={report.r_unital:.3e})")
-    return report
-
-
-def jordan_structure(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> JordanReport:
-    """The report of :func:`stormer_split` when psi is a unital Jordan map,
-    else that of :func:`jordan_check`, from a single evaluation of the
-    identities."""
-    report, images, defects = _jordan_core(psi, tol)
-    if report.is_jordan and report.r_unital <= tol.effective(psi.dim_out, psi.dim_out):
-        return _central_split(report, images, defects)
-    return report
+    if split.w is None:
+        raise ValueError(
+            f"no Størmer split within tolerance (residual={split.residual:.3e}, "
+            f"tol_eff={tol.effective(psi.dim_out, psi.dim_out):.3e})"
+        )
+    return split
 
 
 def recover_conjugating_unitary(phi: SuperOperator, kind: MapKind) -> np.ndarray:

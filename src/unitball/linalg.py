@@ -47,18 +47,16 @@ class Band(Enum):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute tolerance with optional dimension scaling.
+    """Absolute tolerance, scaled by the dimension of what it judges.
 
     The effective tolerance applied to an ``rows x cols`` residual is
-    ``abs * sqrt(rows * cols)``, capped at the largest finite float, when
-    ``dimension_scaling`` is on, plain ``abs`` otherwise.  One policy, used
-    by every residual certificate: :meth:`band` passes a residual up to the
-    effective tolerance, fails it beyond ten times that, and leaves the
-    decade between inconclusive.
+    ``abs * sqrt(rows * cols)``, capped at the largest finite float.  One
+    policy, used by every residual certificate: :meth:`band` passes a
+    residual up to the effective tolerance, fails it beyond ten times that,
+    and leaves the decade between inconclusive.
     """
 
     abs: float = 1e-8
-    dimension_scaling: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.abs < math.inf:
@@ -66,10 +64,7 @@ class Tolerance:
 
     def effective(self, rows: int, cols: int | None = None) -> float:
         cols = rows if cols is None else cols
-        if self.dimension_scaling:
-            teff = self.abs * math.sqrt(rows * cols)
-            return teff if teff <= sys.float_info.max else sys.float_info.max
-        return self.abs
+        return min(self.abs * math.sqrt(rows * cols), sys.float_info.max)
 
     def band(self, score: float, rows: int, cols: int | None = None) -> Band:
         """PASS if ``score <= tol_eff``, FAIL if ``score > 10 tol_eff``, else INCONCLUSIVE."""

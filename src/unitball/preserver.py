@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jordan import JordanReport, MapKind, jordan_structure, recover_conjugating_unitary
+from .jordan import MapKind, StormerSplit, read_off_split, recover_conjugating_unitary
 from .linalg import (
     DEFAULT_TOL,
     Band,
@@ -39,7 +39,7 @@ from .linalg import (
     unitarity_defect,
     unitary_exp,
 )
-from .superop import SuperOperator, apply, left_multiplier
+from .superop import SuperOperator, apply
 
 __all__ = [
     "PreserverVerdict",
@@ -75,8 +75,9 @@ class PreserverCertificate:
     from the input superoperator matrix.  A Preserver is that candidate; a
     rejection carries it too, so its residual can be re-checked.  For a
     NotPreserver, ``witness`` is a concrete unitary whose image fails the
-    unitary test by ``witness_defect``.  ``jordan`` holds the Jordan report
-    of a rectangular map.  ``w`` is retired and always None (it equalled
+    unitary test by ``witness_defect``.  ``jordan`` holds the Størmer split
+    of a rectangular map whose image of I passes: multiplicities p, q,
+    conjugator W and the residual that judged it.  ``w`` is retired and always None (it equalled
     ``v_right`` conjugate-transposed).  Fields that a given path never
     computed keep their defaults: None, ``MapKind.NONE`` or False.
     """
@@ -85,7 +86,7 @@ class PreserverCertificate:
     v: np.ndarray
     v_unitarity_residual: float
     seed: int
-    jordan: JordanReport | None = None
+    jordan: StormerSplit | None = None
     kind: MapKind = MapKind.NONE
     u_left: np.ndarray | None = None
     v_right: np.ndarray | None = None
@@ -211,9 +212,9 @@ def classify_preserver(
     matrix unit whose column of S - R is largest (from I when the image of
     I fails), whose witness (an image missing unitarity by more than
     10 tol_eff) yields NotPreserver and whose exhaustion yields
-    Inconclusive.  Rectangular maps get diagnostics only (Jordan report
-    and multiplicities) because the factorization theorem is about
-    endomorphisms.
+    Inconclusive.  Rectangular maps get diagnostics only (the Størmer
+    split of psi = v* phi, read off v* times the images of the matrix
+    units) because the factorization theorem is about endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
     eye = np.eye(n, dtype=np.complex128)
@@ -232,7 +233,7 @@ def classify_preserver(
     if n != m:
         jordan = None
         if v_band is Band.PASS:
-            jordan = jordan_structure(left_multiplier(adjoint(v), phi), tol)
+            jordan = read_off_split(adjoint(v) @ phi.images_of_matrix_units(), tol)
         return PreserverCertificate(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=jordan, reason="theorem-scope"
         )

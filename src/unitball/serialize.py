@@ -25,7 +25,6 @@ import orjson
 
 from .extremal import ExtremePointReport
 from .gen import InstanceSpec
-from .jordan import JordanReport
 from .linalg import RNG_NAME, Tolerance, as_matrix
 from .preserver import PreserverCertificate
 from .superop import SuperOperator
@@ -40,7 +39,6 @@ __all__ = [
     "algebra_elements_from_obj",
     "tolerance_to_obj",
     "extreme_report_to_obj",
-    "jordan_report_to_obj",
     "certificate_to_obj",
     "instance_spec_to_obj",
     "load_json",
@@ -174,7 +172,7 @@ def algebra_elements_from_obj(obj: Any) -> tuple[int, list[np.ndarray]]:
 
 
 def tolerance_to_obj(tol: Tolerance) -> dict:
-    return {"abs": tol.abs, "dimension_scaling": tol.dimension_scaling}
+    return {"abs": tol.abs}
 
 
 def extreme_report_to_obj(r: ExtremePointReport) -> dict:
@@ -189,28 +187,17 @@ def extreme_report_to_obj(r: ExtremePointReport) -> dict:
     }
 
 
-def jordan_report_to_obj(r: JordanReport) -> dict:
-    return {
-        "r_square": r.r_square,
-        "r_star": r.r_star,
-        "r_unital": r.r_unital,
-        "is_jordan": r.is_jordan,
-        "e": _opt_matrix_to_obj(r.e),
-        "p": r.p,
-        "q": r.q,
-        "r_hom": r.r_hom,
-        "r_anti": r.r_anti,
-        "r_central": r.r_central,
-        "worst_square_pair": list(r.worst_square_pair) if r.worst_square_pair else None,
-    }
-
-
 def certificate_to_obj(c: PreserverCertificate) -> dict:
     return {
         "verdict": c.verdict.value,
         "v": matrix_to_obj(c.v),
         "v_unitarity_residual": c.v_unitarity_residual,
-        "jordan": None if c.jordan is None else jordan_report_to_obj(c.jordan),
+        "jordan": None if c.jordan is None else {
+            "p": c.jordan.p,
+            "q": c.jordan.q,
+            "w": _opt_matrix_to_obj(c.jordan.w),
+            "residual": c.jordan.residual,
+        },
         "kind": c.kind.value,
         "u_left": _opt_matrix_to_obj(c.u_left),
         "v_right": _opt_matrix_to_obj(c.v_right),

@@ -185,7 +185,7 @@ def test_05_splitting_multiplicities():
         spec = InstanceSpec(n=n, kind=InstanceKind.MIXED_JORDAN, seed=5000 + i, p=p, q=q)
         rep = stormer_split(generate(spec))
         exact += (rep.p, rep.q) == (p, q)
-        worst = max(worst, rep.r_hom, rep.r_anti, rep.r_central)
+        worst = max(worst, rep.residual)
     _report(
         "5 splitting multiplicities",
         exact == 50 and worst <= TOL,

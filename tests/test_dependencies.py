@@ -1,7 +1,10 @@
 """The runtime dependencies pyproject.toml declares are the packages the
-source imports: no undeclared import, and no declared package left unused."""
+source imports: no undeclared import, and no declared package left unused.
+And every name the benchmark scripts take from unitball still exists."""
 
 import ast
+import dataclasses
+import importlib.util
 import pathlib
 import re
 import sys
@@ -35,3 +38,61 @@ def imported_packages() -> set[str]:
 
 def test_declared_dependencies_are_the_imported_packages():
     assert imported_packages() == declared_dependencies()
+
+
+def _submodule(package: str, name: str) -> str | None:
+    """``package.name`` when that is a module, else None."""
+    if importlib.util.find_spec(package).submodule_search_locations is None:
+        return None
+    full = f"{package}.{name}"
+    return full if importlib.util.find_spec(full) is not None else None
+
+
+def benchmark_names() -> set[tuple[str, str]]:
+    """(module, name) for every name a perfbench script imports from
+    unitball, and for every attribute it reads off an imported unitball
+    module (``ser.certificate_to_obj`` after ``from unitball import
+    serialize as ser``)."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "unitball":
+                for alias in node.names:
+                    names.add((node.module, alias.name))
+                    if _submodule(node.module, alias.name):
+                        modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "unitball":
+                        modules[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_benchmark_imports_from_unitball_exist():
+    names = benchmark_names()
+    # the replay of stages needs these, so the scan must see them
+    for name in ("left_multiplier", "jordan_check", "stormer_split",
+                 "recover_conjugating_unitary", "falsify_by_sampling"):
+        assert any(found == name for _, found in names), name
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(names)
+        if not (_submodule(module, name) or hasattr(importlib.import_module(module), name))
+    ]
+    assert missing == []
+
+
+def test_benchmark_reads_of_the_program_exist():
+    """The benchmark calls ``cli.main`` through an attribute the scan does
+    not see, and the replay reads ``cert.w`` and ``cert.jordan.e``."""
+    from unitball import PreserverCertificate, StormerSplit, cli
+
+    assert callable(cli.main)
+    assert "w" in {f.name for f in dataclasses.fields(PreserverCertificate)}
+    assert StormerSplit(-1, -1, None, None).e is None

@@ -71,7 +71,7 @@ def test_mixed_instance_splits_with_declared_multiplicities():
     assert (psi.dim_in, psi.dim_out) == (2, 4)
     rep = stormer_split(psi)
     assert (rep.p, rep.q) == (1, 1)
-    assert max(rep.r_hom, rep.r_anti, rep.r_central) <= 1e-10
+    assert rep.residual <= 1e-10
 
 
 def test_trace_pinch_instance_is_rejected():

@@ -1,6 +1,7 @@
 """Jordan layer tests.  The vectorized residual scans are validated against
-a literal four-index loop over matrix-unit pairs, and the central splitting
-is compared with the projection known in closed form for block embeddings."""
+a literal four-index loop over matrix-unit pairs, and the Størmer split is
+compared with the multiplicities and projection known in closed form for
+block embeddings."""
 
 import tracemalloc
 
@@ -10,7 +11,6 @@ import pytest
 from unitball.jordan import (
     MapKind,
     jordan_check,
-    jordan_structure,
     recover_conjugating_unitary,
     stormer_split,
 )
@@ -112,6 +112,13 @@ def test_trace_pinch_worst_pair_is_offdiagonal():
     assert (i, j) != (j, i) or (k, l) != (l, k)  # an off-diagonal unit is involved
 
 
+def test_exact_jordan_map_names_no_worst_pair():
+    """Below tol_eff the square defects are rounding noise: no pair is named."""
+    rep = jordan_check(_mixed_embedding(37))
+    assert rep.is_jordan and rep.r_square <= 1e-14
+    assert rep.worst_square_pair is None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_jordan_check_matches_loop_oracle(seed):
     """Vectorized residuals == literal loop, including rectangular maps."""
@@ -138,14 +145,14 @@ def test_stormer_identity_map():
     rep = stormer_split(identity_map(3))
     assert np.allclose(rep.e, np.eye(3), atol=1e-10)
     assert (rep.p, rep.q) == (1, 0)
-    assert max(rep.r_hom, rep.r_anti, rep.r_central) <= 1e-12
+    assert rep.residual <= 1e-12
 
 
 def test_stormer_transpose_map():
     rep = stormer_split(transpose_map(3))
     assert operator_norm(rep.e) <= 1e-10
     assert (rep.p, rep.q) == (0, 1)
-    assert max(rep.r_hom, rep.r_anti, rep.r_central) <= 1e-12
+    assert rep.residual <= 1e-12
 
 
 def test_stormer_mixed_blocks_match_known_projection():
@@ -158,7 +165,7 @@ def test_stormer_mixed_blocks_match_known_projection():
     assert np.trace(rep.e).real == pytest.approx(4.0, abs=1e-9)
     known = w @ np.diag([1, 1, 0, 0, 1, 1.0]).astype(complex) @ w.conj().T
     assert operator_norm(rep.e - known) <= 1e-8
-    assert max(rep.r_hom, rep.r_anti, rep.r_central) <= 1e-8
+    assert rep.residual <= 1e-8
 
 
 def test_stormer_projection_invariants():
@@ -230,24 +237,63 @@ def test_scalar_source_splits_as_the_identity():
     jordan = classify_preserver(phi).jordan
     assert operator_norm(jordan.e - np.eye(3)) <= 1e-12
     assert (jordan.p, jordan.q) == (3, 0)
-    assert max(jordan.r_hom, jordan.r_anti, jordan.r_central) <= 1e-12
+    assert jordan.residual <= 1e-12
 
 
-def test_jordan_structure_memory_stays_near_the_defect_array():
-    """One n^4 m^2 defect array is built, and the split reuses it in place,
-    so the traced peak at n = 6, m = 24 stays within 2.5 times its size
-    (the defect array plus one temporary of its size)."""
-    n, p, q = 6, 2, 2
-    psi = _block_embedding(n, p, q, 73)
-    m = psi.dim_out
+def _permuted_block_embedding(n, p, q, seed):
+    """p identity and q transpose blocks in a seeded order, conjugated by Haar w."""
+    rng = np.random.default_rng(seed)
+    kinds = [BlockKind.ID] * p + [BlockKind.TRANSPOSE] * q
+    kinds = [kinds[k] for k in rng.permutation(p + q)]
+    return direct_sum_embedding(kinds, haar_unitary((p + q) * n, seed))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(4) for q in range(4) if (p, q) != (0, 0)]
+)
+def test_split_recovers_permuted_blocks_exactly(n, p, q):
+    """Any order of the blocks gives the exact multiplicities, and W rebuilds
+    the map to rounding.  At n = 1 a transpose block is an identity block."""
+    psi = _permuted_block_embedding(n, p, q, 1000 * n + 10 * p + q)
+    split = stormer_split(psi)
+    assert (split.p, split.q) == ((p, q) if n > 1 else (p + q, 0))
+    assert split.residual <= 1e-13
+    assert unitarity_defect(split.w) <= 1e-13
+
+
+def test_split_rejects_a_half_symmetrized_block():
+    """A -> U (A + (A + A^tr)/2) U* (a direct sum) is unital and
+    self-adjoint, and its read-off ranks fit (p = q = 1), but it is no
+    Jordan map: the rebuilt candidate misses it by at least 1/2."""
+    n = 2
+    u = haar_unitary(2 * n, 79)
+    # A + A and A + A^tr averaged: A + (A + A^tr)/2
+    blocks = direct_sum_embedding([BlockKind.ID, BlockKind.ID], u).matrix
+    mixed = direct_sum_embedding([BlockKind.ID, BlockKind.TRANSPOSE], u).matrix
+    psi = SuperOperator(n, 2 * n, (blocks + mixed) / 2)
+    jordan = classify_preserver(psi).jordan
+    assert (jordan.p, jordan.q) == (-1, -1)
+    assert jordan.w is None and jordan.e is None
+    assert jordan.residual >= 0.5
+    with pytest.raises(ValueError, match="residual"):
+        stormer_split(psi)
+
+
+def test_rectangular_classify_memory_stays_near_the_input():
+    """No n^4 m^2 array is built (one would be n^2 = 64 times the input):
+    at (n, p, q) = (8, 2, 2), m = 32, the traced peak of a rectangular
+    classify stays within 6 times the bytes of the input matrix."""
+    n, p, q = 8, 2, 2
+    phi = _block_embedding(n, p, q, 73)
     tracemalloc.start()
     try:
-        rep = jordan_structure(psi)
+        cert = classify_preserver(phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rep.p, rep.q) == (p, q)
-    assert peak <= 2.5 * n**4 * m**2 * 16
+    assert (cert.jordan.p, cert.jordan.q) == (p, q)
+    assert peak <= 6 * phi.matrix.nbytes
 
 
 # ------------------------------------------------------ unitary recovery

@@ -59,9 +59,11 @@ def test_tolerance_effective_scales_with_dimension():
     assert tol.effective(9) == pytest.approx(9e-8)
 
 
-def test_tolerance_scaling_can_be_disabled():
-    tol = Tolerance(abs=1e-6, dimension_scaling=False)
-    assert tol.effective(100, 100) == 1e-6
+def test_tolerance_always_scales_with_dimension():
+    tol = Tolerance(abs=1e-6)
+    assert tol.effective(100, 100) == pytest.approx(1e-4)
+    with pytest.raises(TypeError):
+        Tolerance(abs=1e-6, dimension_scaling=False)
 
 
 def test_tolerance_rejects_negative():

@@ -283,8 +283,9 @@ def test_moved_unit_column_is_not_certified(seed, factor, verdict):
 
 
 @pytest.mark.parametrize("label", ["hom", "anti", "pinch", "mixed"])
-def test_jordan_core_runs_once_per_call(label, monkeypatch):
-    """The core never runs for a square map, and once for a rectangular one."""
+def test_jordan_core_never_runs_in_classify(label, monkeypatch):
+    """Neither the identity scan nor left_multiplier runs, for square maps
+    or for a rectangular one, whose split is read off its images."""
     phi = {
         "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=1)),
         "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=2)),
@@ -294,16 +295,21 @@ def test_jordan_core_runs_once_per_call(label, monkeypatch):
         ),
     }[label]()
     calls = []
-    core = jordan._jordan_core
 
-    def counted(psi, tol):
-        calls.append(psi)
-        return core(psi, tol)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(jordan, "_jordan_core", counted)
+        return wrapper
+
+    for module in (superop, jordan, preserver):
+        for name in ("jordan_check", "left_multiplier"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cert = classify_preserver(phi)
     assert (cert.jordan is not None) == (label == "mixed")
-    assert len(calls) == (1 if label == "mixed" else 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("label", ["hom", "anti", "pinch", "contraction"])
@@ -642,8 +648,8 @@ def test_rectangular_map_gets_diagnostics_only():
     assert cert.verdict is PreserverVerdict.INCONCLUSIVE
     assert cert.reason == "theorem-scope"
     assert cert.u_left is None and cert.v_right is None
-    # diagnostics still run: the Jordan splitting sees one block of each kind
-    assert cert.jordan is not None and cert.jordan.is_jordan
+    # diagnostics still run: the Størmer split sees one block of each kind
+    assert cert.jordan is not None and cert.jordan.residual <= 1e-13
     assert (cert.jordan.p, cert.jordan.q) == (1, 1)
 
 

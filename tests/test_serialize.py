@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from unitball import serialize as ser
 from unitball.extremal import IsometryClass, StarAlgebraBasis, kadison_extreme_test
 from unitball.gen import InstanceKind, InstanceSpec, trace_pinch_map
-from unitball.jordan import stormer_split
 from unitball.linalg import (
     Tolerance,
     complex_gaussian,
@@ -23,7 +22,15 @@ from unitball.linalg import (
     unitarity_defect,
 )
 from unitball.preserver import classify_preserver
-from unitball.superop import apply, compose, from_left_right, identity_map, transpose_map
+from unitball.superop import (
+    BlockKind,
+    apply,
+    compose,
+    direct_sum_embedding,
+    from_left_right,
+    identity_map,
+    transpose_map,
+)
 
 
 def roundtrip(obj):
@@ -199,9 +206,9 @@ def test_algebra_document_shape_mismatch():
 
 
 def test_tolerance_round_trip():
-    tol = Tolerance(abs=3e-7, dimension_scaling=False)
+    tol = Tolerance(abs=3e-7)
     obj = roundtrip(ser.tolerance_to_obj(tol))
-    assert obj == {"abs": 3e-7, "dimension_scaling": False}
+    assert obj == {"abs": 3e-7}
     assert Tolerance(**obj) == tol
 
 
@@ -214,15 +221,26 @@ def test_extreme_report_round_trip():
     assert obj == expected
 
 
-def test_jordan_report_round_trip():
-    rep = stormer_split(transpose_map(3))
-    obj = roundtrip(ser.jordan_report_to_obj(rep))
-    assert np.array_equal(ser.matrix_from_obj(obj["e"]), rep.e)
-    assert (obj["p"], obj["q"]) == (rep.p, rep.q) == (0, 1)
-    assert obj["r_square"] == rep.r_square and obj["is_jordan"] is True
-    assert obj["r_hom"] == rep.r_hom and obj["r_anti"] == rep.r_anti
-    assert obj["r_central"] == rep.r_central
-    assert obj["worst_square_pair"] == list(rep.worst_square_pair)
+def test_rectangular_certificate_round_trip():
+    """The split of a rectangular map is emitted as p, q, W and its residual,
+    and the emitted W rebuilds the map with v = phi(I) on the left."""
+    n, w0 = 2, haar_unitary(6, 23)
+    phi = direct_sum_embedding([BlockKind.TRANSPOSE, BlockKind.ID, BlockKind.TRANSPOSE], w0)
+    cert = classify_preserver(phi)
+    obj = roundtrip(ser.certificate_to_obj(cert))
+    assert (obj["verdict"], obj["reason"]) == ("Inconclusive", "theorem-scope")
+    split = obj["jordan"]
+    assert sorted(split) == ["p", "q", "residual", "w"]
+    assert (split["p"], split["q"]) == (cert.jordan.p, cert.jordan.q) == (1, 2)
+    assert split["residual"] == cert.jordan.residual <= 1e-13
+    w, v = ser.matrix_from_obj(split["w"]), ser.matrix_from_obj(obj["v"])
+    assert np.array_equal(w, cert.jordan.w)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        a = complex_gaussian(n, n, rng)
+        j = np.zeros((6, 6), dtype=complex)
+        j[:2, :2], j[2:, 2:] = a, np.kron(a.T, np.eye(2))  # A kron I_1 + A^tr kron I_2
+        assert operator_norm(v @ w @ j @ w.conj().T - apply(phi, a)) <= 1e-13
 
 
 def test_certificate_round_trip_positive_case():
@@ -274,7 +292,7 @@ def test_run_info_fields():
     assert info["tool"] == "unitball"
     assert info["rng"] == "numpy-pcg64"
     assert info["seed"] == 5
-    assert info["tolerance"] == {"abs": 1e-8, "dimension_scaling": True}
+    assert info["tolerance"] == {"abs": 1e-8}
     assert "version" in info and info["wall_time_s"] == 0.25
     assert "seed" not in ser.run_info(Tolerance(), seed=None, wall_time_s=0.1)
 
