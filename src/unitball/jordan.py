@@ -8,25 +8,32 @@ residual of :func:`jordan_check` a finite, exact scan.
 
 A unital Jordan *-homomorphism psi: M_n -> M_m has the form
 psi(A) = W (A kron I_p + A^tr kron I_q) W* with W unitary and
-m = (p + q) n (Størmer).  :func:`stormer_split` reads one candidate W off
-the images of the matrix units, rebuilds the map from it, and lets one
-residual rho = ||S_psi - R|| decide, as the square classifier does.
+m = (p + q) n (Størmer); a map phi that sends unitaries to unitaries is
+v psi with v = phi(I) unitary (Russo-Dye), and p + q = 1 at m = n.
+:func:`read_off_split`, the one read-off of every ``classify``, reads W
+off the images of the matrix units and lets one residual
+rho = ||S_phi - polar(v) R|| decide.  :func:`jordan_check` and
+:func:`recover_conjugating_unitary` decide nothing; they are library API.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Band, Tolerance, hermitian_part, operator_norm, polar_unitary
+from .linalg import (
+    DEFAULT_TOL, Band, Tolerance, adjoint, hermitian_part, operator_norm, polar_unitary,
+)
 from .superop import SuperOperator
 
 __all__ = [
     "MapKind",
     "JordanReport",
     "StormerSplit",
+    "ReadOff",
     "jordan_check",
     "read_off_split",
     "stormer_split",
@@ -64,11 +71,11 @@ class JordanReport:
 class StormerSplit:
     """psi(A) = w (A kron I_p + A^tr kron I_q) w*, certified by one residual.
 
-    ``residual`` is rho = ||S_psi - R||, the operator-norm distance between
-    the superoperator matrix of psi and that of the map R rebuilt from
-    ``w``; it is None when the read-off ranks give no square ``w``.  Unless
-    rho passes ``tol.band`` at m x m, p = q = -1 and ``w`` is None.  ``e``
-    is the central projection onto the hom columns of ``w``.
+    ``residual`` is rho of :func:`read_off_split`, the operator-norm
+    distance between the input's superoperator matrix and that of the map
+    rebuilt from ``w``, or None when the ranks give no square ``w``.  Unless
+    its bound passes, p = q = -1 and ``w`` is None.  ``e`` is the central
+    projection onto the hom columns of ``w``.
     """
 
     p: int
@@ -123,76 +130,105 @@ def _above_half(a: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def read_off_split(images: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
-    """The split of :func:`stormer_split` from the (n, n, m, m) images
-    psi(E_ij), returned with p = q = -1 instead of raising.
+@dataclass(frozen=True)
+class ReadOff:
+    """The candidate of :func:`read_off_split`, kept whether or not it
+    passes.  ``w`` and ``residual`` are None when the ranks give no m x m
+    conjugator, and ``worst`` names the (i, j) whose image the candidate
+    misses most when the bound fails."""
 
-    On the hom part psi(E_12) psi(E_21) is psi(E_11), on the anti part it
-    is psi(E_22), so with P = psi(E_11), H = P psi(E_12) psi(E_21) is the
-    hom part of P (H = P at n = 1).  X and Y span the eigenvectors above
-    1/2 of H and P - H; the columns psi(E_i1) X and psi(E_1i) Y, ordered
-    as in A kron I_p and A^tr kron I_q, make W after a polar factor, and
-    R(E_ij) = sum_a w_ia w_ja* + sum_b w_jb w_ib* is rebuilt by two
-    einsums.  No tolerance picks X or Y: any choice gives an exactly
-    unitary W, and rho decides.
+    p: int
+    q: int
+    w: np.ndarray | None
+    residual: float | None
+    passed: bool = False
+    worst: tuple[int, int] | None = None
+
+    @property
+    def split(self) -> StormerSplit:
+        """The split as certified: p, q and w only when the bound passes."""
+        certified = (self.p, self.q, self.w) if self.passed else (-1, -1, None)
+        return StormerSplit(*certified, self.residual)
+
+
+def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ReadOff:
+    """The candidate phi(A) = u W (A kron I_p + A^tr kron I_q) W* read off
+    the (n, n, m, m) images phi(E_ij), for a unitary u (polar(phi(I)) in
+    ``classify``).
+
+    Only psi(E_i1) = u* phi(E_i1) and psi(E_1i) are formed.  With
+    P = psi(E_11), H = P psi(E_12) psi(E_21) is the hom part of P (H = P
+    at n = 1), since psi(E_12) psi(E_21) is psi(E_11) on the hom part and
+    psi(E_22) on the anti part.  X and Y span the eigenvectors above 1/2 of
+    H and P - H, and W is the polar factor of the columns psi(E_i1) X and
+    psi(E_1i) Y, ordered as in A kron I_p and A^tr kron I_q.  No tolerance
+    picks X or Y: any choice gives an exactly unitary W, and rho decides.
+    u R is built by one broadcast matmul in the buffer of S - u R, and
+    rho = ||S - u R|| is read off one SVD.  A unitary A has
+    ||vec A|| = sqrt(n), so its image misses unitarity by at most
+    2 sqrt(n) rho + n rho^2, the bound judged by ``tol.band`` at m x m.
     """
     n, m = images.shape[0], images.shape[2]
-    top = images[0, 0]
-    hom_part = top @ images[0, 1] @ images[1, 0] if n > 1 else top
+    col, row = adjoint(u) @ images[:, 0], adjoint(u) @ images[0]
+    top = col[0]
+    hom_part = top @ row[1] @ col[1] if n > 1 else top
     x, y = _above_half(hom_part), _above_half(top - hom_part)
     p, q = x.shape[1], y.shape[1]
     if (p + q) * n != m:
-        return StormerSplit(-1, -1, None, None)
-    hom = (images[:, 0] @ x).transpose(1, 0, 2).reshape(m, n * p)
-    anti = (images[0] @ y).transpose(1, 0, 2).reshape(m, n * q)
+        return ReadOff(p, q, None, None)
+    hom = (col @ x).transpose(1, 0, 2).reshape(m, n * p)
+    anti = (row @ y).transpose(1, 0, 2).reshape(m, n * q)
     w = polar_unitary(np.hstack([hom, anti]))[0]
-    wh, wa = w[:, : n * p].reshape(m, n, p), w[:, n * p :].reshape(m, n, q)
 
-    diff = np.einsum("xia,yja->ijxy", wh, wh.conj(), order="C")
-    diff += np.einsum("xjb,yib->ijxy", wa, wa.conj())
+    # idx[i, j] lists W's hom columns of index i, then its anti columns of
+    # index j, so u R(E_ij) is (u W)[:, idx[i, j]] times W[:, idx[j, i]]*
+    c, r = np.arange(p + q), np.arange(n)[:, None, None]
+    idx = np.where(c < p, r * p + c, n * p + r.swapaxes(0, 1) * q + c - p)
+    left = (u @ w)[:, idx].transpose(1, 2, 0, 3)
+    right = w.conj()[:, idx.swapaxes(0, 1)].transpose(1, 2, 3, 0)
+    diff = np.matmul(left, right, out=np.empty((n, n, m, m), np.complex128))
     np.subtract(images, diff, out=diff)
-    rho = operator_norm(diff.reshape(n * n, m * m))
-    passed = tol.band(rho, m, m) is Band.PASS
-    return StormerSplit(p, q, w, rho) if passed else StormerSplit(-1, -1, None, rho)
+    flat = diff.reshape(n * n, m * m)
+    rho = operator_norm(flat)
+    if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, m, m) is Band.PASS:
+        return ReadOff(p, q, w, rho, passed=True)
+    # row i n + j of flat is the miss on E_ij, squared and summed in place
+    parts = flat.view(np.float64)
+    worst = divmod(int(np.argmax(np.einsum("ij,ij->i", parts, parts))), n)
+    return ReadOff(p, q, w, rho, worst=worst)
 
 
 def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
     """Split a unital Jordan *-homomorphism psi: M_n -> M_m as
     psi(A) = W (A kron I_p + A^tr kron I_q) W*.
 
-    The candidate W is read off the images of the matrix units (see
-    :func:`read_off_split`); it is accepted when rho = ||S_psi - R|| passes
-    ``tol.band`` at m x m.  Raises ``ValueError`` naming rho otherwise, or
-    when the read-off ranks give no m x m conjugator.
+    :func:`read_off_split` with u = I reads W off the images of the matrix
+    units and accepts it when the bound on rho = ||S_psi - R|| passes.
+    Raises ``ValueError`` naming rho otherwise (None when the read-off
+    ranks give no m x m conjugator).
     """
-    split = read_off_split(psi.images_of_matrix_units(), tol)
-    if split.residual is None:
+    m = psi.dim_out
+    fit = read_off_split(psi.images_of_matrix_units(), np.eye(m, dtype=np.complex128), tol)
+    if not fit.passed:
         raise ValueError(
-            f"no Størmer split: the read-off ranks give no conjugator for "
-            f"M_{psi.dim_in} -> M_{psi.dim_out}"
+            f"no Størmer split of M_{psi.dim_in} -> M_{m} within tolerance "
+            f"(residual={fit.residual}, tol_eff={tol.effective(m, m):.3e})"
         )
-    if split.w is None:
-        raise ValueError(
-            f"no Størmer split within tolerance (residual={split.residual:.3e}, "
-            f"tol_eff={tol.effective(psi.dim_out, psi.dim_out):.3e})"
-        )
-    return split
+    return fit.split
 
 
 def recover_conjugating_unitary(phi: SuperOperator, kind: MapKind) -> np.ndarray:
     """Read off U with phi(A) = U A V (Hom) or phi(A) = U A^tr V (Anti).
 
-    Matrix-unit reconstruction straight from the images of phi: the image
-    of E_11 (of E_11 after the transpose for Anti, which only swaps the
-    matrix-unit indices) is the rank-one u_1 r_1, with u_1 the first column
-    of U and r_1 the first row of V.  Its top right singular vector b is
-    r_1* up to phase, so column i of U is the image of E_i1 applied to b.
-    For psi(A) = w A w* this is w.  Only an image of E_11 that is exactly
-    zero stops the read-off: on every preserver its top singular value is
-    1, and the caller's residual judges the rest.  The result is U up to a
-    global phase, fixed by making the first nonzero entry of the first
-    column real positive; the 1e-8 relative cutoff only picks which entry
-    that is, a phase that cancels in U A U* and so in every verdict.
+    The image of E_11 (of E_11 after the transpose for Anti, which only
+    swaps the matrix-unit indices) is the rank-one u_1 r_1, with u_1 the
+    first column of U and r_1 the first row of V.  Its top right singular
+    vector b is r_1* up to phase, so column i of U is the image of E_i1
+    applied to b; for psi(A) = w A w* this is w.  Only an image of E_11
+    that is exactly zero stops the read-off.  The result is U up to a
+    global phase, fixed by making the first nonzero entry (above 1e-8
+    relative) of the first column real positive.  No ``classify`` path
+    calls this; :func:`read_off_split` reads U as u W.
     """
     n = phi.dim_in
     if phi.dim_out != n:

@@ -2,11 +2,9 @@
 
 A linear map on M_n preserves the extreme points of the unit ball exactly
 when it sends every unitary to a unitary, and every such map factors as
-A -> U A V or A -> U A^tr V with U, V unitary.  So the decision lets
-three images of matrix units pick the form, reads U straight off the
-map's images of the matrix units and V off its image of I, rebuilds the
-map exactly unitary as the Kronecker product V^tr kron U (its columns
-permuted for the transpose form), and lets one number decide: the
+A -> U A V or A -> U A^tr V with U, V unitary: the Størmer split with
+p + q = 1.  So the decision reads one candidate off the map's images of the
+matrix units, as for rectangular maps, and lets one number decide: the
 residual rho = ||S - R|| between the input and rebuilt superoperator
 matrices, which bounds how far any unitary's image can be from unitary.
 A rejection rests on one object, a witness unitary, found by one bounded
@@ -23,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .jordan import MapKind, StormerSplit, read_off_split, recover_conjugating_unitary
+from .jordan import MapKind, StormerSplit, read_off_split
 from .linalg import (
     DEFAULT_TOL,
     Band,
@@ -70,15 +68,16 @@ class PreserverCertificate:
     For a square map whose image of I passes, ``kind``, ``u_left``,
     ``v_right`` and ``transpose_flag`` describe the one candidate
     A -> u_left A v_right (transpose applied first when ``transpose_flag``
-    is set) that the probe of :func:`classify_preserver` chose, and
+    is set) that :func:`classify_preserver` read off, and
     ``reconstruction_residual`` is its absolute operator-norm distance rho
     from the input superoperator matrix.  A Preserver is that candidate; a
     rejection carries it too, so its residual can be re-checked.  For a
     NotPreserver, ``witness`` is a concrete unitary whose image fails the
     unitary test by ``witness_defect``.  ``jordan`` holds the Størmer split
     of a rectangular map whose image of I passes: multiplicities p, q,
-    conjugator W and the residual that judged it.  ``w`` is retired and always None (it equalled
-    ``v_right`` conjugate-transposed).  Fields that a given path never
+    conjugator W and the residual that judged it.  ``w`` is retired, always
+    None and not emitted (it equalled ``v_right`` conjugate-transposed).
+    Fields that a given path never
     computed keep their defaults: None, ``MapKind.NONE`` or False.
     """
 
@@ -191,30 +190,22 @@ def classify_preserver(
 ) -> PreserverCertificate:
     """Decide whether a map M_n -> M_n sends unitaries to unitaries.
 
-    Steps: (1) v = image of I must be unitary; (2) a probe picks the one
-    form the theorem allows: Commutative at n = 1, else Hom when
-    F_12 v* F_21 (F_ij the image of E_ij) is nearer F_11 than F_22 in
-    Frobenius norm, Anti otherwise, since it equals F_11 for
-    A -> U A V and F_22 for A -> U A^tr V; (3) u_left is the polar factor
-    of the left factor U that ``recover_conjugating_unitary`` reads off
-    phi's images of the matrix units, v_right is the polar factor of
-    u_left* v, and the map A -> u_left A v_right (transpose first for
-    Anti) is rebuilt exactly unitary as kron(v_right^tr, u_left), its
-    columns permuted by the swap for Anti; (4) rho = ||S - R|| (operator
-    norm of the difference of the superoperator matrices) is read off one
-    SVD.  Since ||vec A|| = sqrt(n) for a unitary A, every image misses
-    unitarity by at most 2 sqrt(n) rho + n rho^2; Preserver needs that
-    bound to pass ``tol.band`` at n x n, so no unitary can contradict a
-    Preserver.  A passing bound puts the probe within O(sqrt(n) rho) of the
-    right image, while F_11 and F_22 are sqrt(2) apart, so the probe never
-    costs a Preserver.  An image of I inside the band yields Inconclusive.
-    Any other failure runs one bounded witness search, started from the
-    matrix unit whose column of S - R is largest (from I when the image of
-    I fails), whose witness (an image missing unitarity by more than
-    10 tol_eff) yields NotPreserver and whose exhaustion yields
-    Inconclusive.  Rectangular maps get diagnostics only (the Størmer
-    split of psi = v* phi, read off v* times the images of the matrix
-    units) because the factorization theorem is about endomorphisms.
+    Steps: (1) v = image of I must be unitary; (2) with u = polar(v),
+    :func:`unitball.jordan.read_off_split` reads off one candidate: p + q = 1
+    names the form, A -> u_left A v_right with u_left = u W and
+    v_right = W* (Hom, p = 1; Commutative at n = 1) or its transpose
+    form (Anti, q = 1), and rho = ||S - R|| bounds every image's miss of
+    unitarity by 2 sqrt(n) rho + n rho^2.  Preserver needs that bound to
+    pass ``tol.band`` at n x n, so no unitary can contradict it.  An image
+    of I inside the band yields Inconclusive.  Any other failure runs one
+    bounded witness search, started from the matrix unit whose image R
+    misses most (from I when the image of I fails, from Haar samples alone
+    when the ranks give no conjugator), whose witness (an image missing
+    unitarity by more than 10 tol_eff) yields NotPreserver and whose
+    exhaustion yields Inconclusive.  Rectangular maps get diagnostics only
+    (the same read-off, as the Størmer split of psi = u* phi when the same
+    bound passes at m x m) because the factorization theorem is about
+    endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
     eye = np.eye(n, dtype=np.complex128)
@@ -230,52 +221,25 @@ def classify_preserver(
             witness=witness, witness_defect=defect, reason=reason, **fields,
         )
 
-    if n != m:
-        jordan = None
-        if v_band is Band.PASS:
-            jordan = read_off_split(adjoint(v) @ phi.images_of_matrix_units(), tol)
-        return PreserverCertificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=jordan, reason="theorem-scope"
-        )
-    if v_band is Band.FAIL:
+    if n == m and v_band is Band.FAIL:
         return reject("image-of-identity-not-unitary", [eye])
-    if v_band is Band.INCONCLUSIVE:
+    if v_band is not Band.PASS:
+        reason = "image-of-identity-in-band" if n == m else "theorem-scope"
+        return PreserverCertificate(PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason=reason)
+    u = polar_unitary(v)[0]
+    fit = read_off_split(phi.images_of_matrix_units(), u, tol)
+    if n != m:
         return PreserverCertificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason="image-of-identity-in-band"
+            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=fit.split, reason="theorem-scope"
         )
-
-    kind = MapKind.COMMUTATIVE
-    if n > 1:
-        f = phi.images_of_matrix_units()
-        probe = f[0, 1] @ adjoint(v) @ f[1, 0]
-        hom = np.linalg.norm(probe - f[0, 0]) <= np.linalg.norm(probe - f[1, 1])
-        kind = MapKind.HOM if hom else MapKind.ANTI
-    try:
-        u_left = polar_unitary(recover_conjugating_unitary(phi, kind))[0]
-    except ValueError:
+    if fit.w is None:
         return reject("unitary-recovery-failed")
-    v_right = polar_unitary(adjoint(u_left) @ v)[0]
-
-    # R is kron(a, b), whose column i + j n is vec(u_left E_ij v_right), as
-    # an (n, n, n, n) outer product; Anti swaps its two column indices.
-    # S - R is then built in R's buffer.
-    a, b = v_right.T, u_left
-    if kind is MapKind.ANTI:
-        diff = np.multiply(a[:, None, None, :], b[None, :, :, None])
-    else:
-        diff = np.multiply(a[:, None, :, None], b[None, :, None, :])
-    diff = diff.reshape(n * n, n * n)
-    np.subtract(phi.matrix, diff, out=diff)
-    rho = operator_norm(diff)
-    fields = dict(
-        kind=kind, u_left=u_left, v_right=v_right,
-        transpose_flag=kind is MapKind.ANTI, reconstruction_residual=rho,
-    )
-    if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, n, n) is Band.PASS:
+    kind = MapKind.COMMUTATIVE if n == 1 else MapKind.ANTI if fit.q else MapKind.HOM
+    fields = dict(kind=kind, u_left=u @ fit.w, v_right=adjoint(fit.w),
+                  transpose_flag=fit.q == 1, reconstruction_residual=fit.residual)
+    if fit.passed:
         return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
-    # column i + j n of the matrix is the image of E_ij
-    j, i = divmod(int(np.argmax(np.linalg.norm(diff, axis=0))), n)
-    return reject("reconstruction-mismatch", _pair_unitaries(n, (i, j)), **fields)
+    return reject("reconstruction-mismatch", _pair_unitaries(n, fit.worst), **fields)
 
 
 def _identity_norms(phi: SuperOperator, v: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -202,7 +202,6 @@ def certificate_to_obj(c: PreserverCertificate) -> dict:
         "u_left": _opt_matrix_to_obj(c.u_left),
         "v_right": _opt_matrix_to_obj(c.v_right),
         "transpose_flag": c.transpose_flag,
-        "w": _opt_matrix_to_obj(c.w),
         "reconstruction_residual": c.reconstruction_residual,
         "witness": _opt_matrix_to_obj(c.witness),
         "witness_defect": c.witness_defect,

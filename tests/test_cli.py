@@ -2,6 +2,7 @@
 carries the one-line summary, and the exit codes {0,1,2,64,65} are a closed
 set."""
 
+import ast
 import contextlib
 import io
 import json
@@ -788,6 +789,34 @@ def test_readme_cli_block_parses():
     assert len(lines) >= 6
     for words in lines:
         assert cli._build_parser().parse_args(words[1:]).command == words[1]
+
+
+def test_every_classify_reason_is_a_readme_row():
+    """The reasons preserver.py can return, found with ast (the first
+    argument of each ``reject`` call, every string passed or assigned as
+    ``reason``, the field's default included), are the rows of README's
+    reason table, with ``(empty)`` for the empty reason."""
+    root = pathlib.Path(__file__).parents[1]
+    tree = ast.parse((root / "src" / "unitball" / "preserver.py").read_text(encoding="utf-8"))
+
+    def strings(node):
+        return {c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "reject":
+            found |= strings(node.args[0])
+        elif isinstance(node, ast.keyword) and node.arg == "reason":
+            found |= strings(node.value)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "reason" for t in node.targets):
+            found |= strings(node.value)
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "reason":
+            found |= strings(node.value)
+    text = (root / "README.md").read_text(encoding="utf-8")
+    table = text.split("| reason | verdicts |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = {line.split("|")[1].strip().strip("`") for line in table.splitlines()}
+    assert len(rows) == len(table.splitlines()) >= 6
+    assert found == {"" if row == "(empty)" else row for row in rows}
 
 
 def test_no_arguments_is_usage_error(capsys):

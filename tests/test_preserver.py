@@ -22,6 +22,7 @@ from unitball.linalg import (
     complex_gaussian,
     haar_from_rng,
     haar_unitary,
+    matrix_unit,
     operator_norm,
     polar_unitary,
     unitarity_defect,
@@ -128,7 +129,9 @@ def test_trace_pinch_rejected_with_verified_witness():
     phi = trace_pinch_map(3)
     cert = classify_preserver(phi)
     assert cert.verdict is PreserverVerdict.NOT_PRESERVER
-    assert cert.reason == "reconstruction-mismatch"
+    # P = I/3 has no eigenvalue above 1/2, so the read-off ranks give no conjugator
+    assert cert.reason == "unitary-recovery-failed"
+    assert cert.u_left is None and cert.reconstruction_residual is None
     assert cert.jordan is None
     # witness must be an honest unitary whose image fails the unitary test
     assert unitarity_defect(cert.witness) <= 1e-10
@@ -227,7 +230,7 @@ def moved_column(phi, i, j, step):
     n = phi.dim_in
     matrix = phi.matrix.copy()
     matrix[:, i + j * n] += step
-    return SuperOperator(n, n, matrix)
+    return SuperOperator(n, phi.dim_out, matrix)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,8 +287,9 @@ def test_moved_unit_column_is_not_certified(seed, factor, verdict):
 
 @pytest.mark.parametrize("label", ["hom", "anti", "pinch", "mixed"])
 def test_jordan_core_never_runs_in_classify(label, monkeypatch):
-    """Neither the identity scan nor left_multiplier runs, for square maps
-    or for a rectangular one, whose split is read off its images."""
+    """Neither the identity scan, left_multiplier nor the unitary recovery
+    runs, for square maps or for a rectangular one: every map's candidate
+    is read off its images, and each verdict stands without them."""
     phi = {
         "hom": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.HOM_PRESERVER, seed=1)),
         "anti": lambda: generate(InstanceSpec(n=4, kind=InstanceKind.ANTI_PRESERVER, seed=2)),
@@ -304,12 +308,18 @@ def test_jordan_core_never_runs_in_classify(label, monkeypatch):
         return wrapper
 
     for module in (superop, jordan, preserver):
-        for name in ("jordan_check", "left_multiplier"):
+        for name in ("jordan_check", "left_multiplier", "recover_conjugating_unitary"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     cert = classify_preserver(phi)
     assert (cert.jordan is not None) == (label == "mixed")
     assert calls == []
+    assert cert.verdict is {
+        "hom": PreserverVerdict.PRESERVER,
+        "anti": PreserverVerdict.PRESERVER,
+        "pinch": PreserverVerdict.NOT_PRESERVER,
+        "mixed": PreserverVerdict.INCONCLUSIVE,
+    }[label]
 
 
 @pytest.mark.parametrize("label", ["hom", "anti", "pinch", "contraction"])
@@ -357,15 +367,16 @@ def mixture(n, rng, t):
     "kind", [InstanceKind.HOM_PRESERVER, InstanceKind.ANTI_PRESERVER, "pinch", "mixture"]
 )
 def test_one_operator_norm_per_classify(kind, monkeypatch):
-    """A square map that reaches reconstruction builds one candidate: one
-    unitary recovery and one n^2 x n^2 SVD, whatever the verdict."""
+    """A square map builds one candidate: one read-off and, once its ranks
+    give a conjugator, one n^2 x n^2 SVD, whatever the verdict.  The read-off
+    of a trace pinching gives none, so it takes no SVD."""
     if kind == "pinch":
         phi = trace_pinch_map(5)
     elif kind == "mixture":
         phi = mixture(5, np.random.default_rng(4), 0.5)
     else:
         phi = generate(InstanceSpec(n=5, kind=kind, seed=4))
-    calls = {"operator_norm": 0, "recover": 0}
+    calls = {"operator_norm": 0, "read_off": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -374,17 +385,20 @@ def test_one_operator_norm_per_classify(kind, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(preserver, "operator_norm", counted("operator_norm", operator_norm))
+    for module in (jordan, preserver):
+        monkeypatch.setattr(module, "operator_norm", counted("operator_norm", operator_norm))
     monkeypatch.setattr(
-        preserver,
-        "recover_conjugating_unitary",
-        counted("recover", jordan.recover_conjugating_unitary),
+        preserver, "read_off_split", counted("read_off", jordan.read_off_split)
     )
     cert = classify_preserver(phi)
     certified = cert.verdict is PreserverVerdict.PRESERVER
     assert certified == (kind in (InstanceKind.HOM_PRESERVER, InstanceKind.ANTI_PRESERVER))
-    assert cert.reason in ("", "reconstruction-mismatch")
-    assert calls == {"operator_norm": 1, "recover": 1}
+    if kind == "pinch":
+        assert cert.reason == "unitary-recovery-failed"
+        assert calls == {"operator_norm": 0, "read_off": 1}
+    else:
+        assert cert.reason in ("", "reconstruction-mismatch")
+        assert calls == {"operator_norm": 1, "read_off": 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,16 +412,23 @@ def test_one_operator_norm_per_classify(kind, monkeypatch):
 @example(n=4, seed=2, t=0.0, log_d=-9.0)
 def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
     """On mixtures A -> U (t A + (1 - t) A^tr) V with one off-diagonal
-    column moved by d (so the image of I stays unitary), rho is the SVD
-    residual of the form the certificate names, and a form whose bound
-    2 sqrt(n) rho + n rho^2 passes the band is always certified."""
+    column moved by d (so the image of I stays unitary), the certified rho
+    is the SVD residual of the factors the certificate names, and any form
+    whose candidate from ``recover_conjugating_unitary`` (the reference
+    oracle) passes the bound 2 sqrt(n) rho + n rho^2 is certified."""
     rng = np.random.default_rng(seed)
     i, j = rng.choice(n, size=2, replace=False)
     g = complex_gaussian(n * n, 1, rng)[:, 0]
     phi = moved_column(mixture(n, rng, t), i, j, 10**log_d * g / np.linalg.norm(g))
     cert = classify_preserver(phi, seed=seed)
+    if cert.reconstruction_residual is not None:
+        rebuilt = np.kron(cert.v_right.T, cert.u_left)
+        if cert.transpose_flag:
+            rebuilt = rebuilt @ transpose_map(n).matrix
+        assert cert.reconstruction_residual == pytest.approx(
+            operator_norm(phi.matrix - rebuilt), rel=1e-12, abs=1e-15
+        )
     v = apply(phi, np.eye(n))
-    rhos = {}
     for kind in (MapKind.HOM, MapKind.ANTI):
         try:
             u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind))[0]
@@ -416,12 +437,7 @@ def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
         rebuilt = from_left_right(u, polar_unitary(adjoint(u) @ v)[0])
         if kind is MapKind.ANTI:
             rebuilt = compose(rebuilt, transpose_map(n))
-        rhos[kind] = operator_norm(phi.matrix - rebuilt.matrix)
-    if cert.reconstruction_residual is not None:
-        assert cert.reconstruction_residual == pytest.approx(
-            rhos[cert.kind], rel=1e-12, abs=1e-15
-        )
-    for kind, rho in rhos.items():
+        rho = operator_norm(phi.matrix - rebuilt.matrix)
         if DEFAULT_TOL.band(2 * math.sqrt(n) * rho + n * rho * rho, n, n) is Band.PASS:
             assert cert.verdict is PreserverVerdict.PRESERVER
             assert cert.kind is kind
@@ -651,6 +667,62 @@ def test_rectangular_map_gets_diagnostics_only():
     # diagnostics still run: the Størmer split sees one block of each kind
     assert cert.jordan is not None and cert.jordan.residual <= 1e-13
     assert (cert.jordan.p, cert.jordan.q) == (1, 1)
+
+
+def rectangular_rebuild(phi, p, q, w):
+    """Matrix of A -> polar(phi(I)) w (A kron I_p + A^tr kron I_q) w*, one
+    column vec(image of E_ij) at a time."""
+    n, m = phi.dim_in, phi.dim_out
+    u = polar_unitary(apply(phi, np.eye(n)))[0]
+    cols = []
+    for j in range(n):
+        for i in range(n):
+            e, block = matrix_unit(n, i, j), np.zeros((m, m), dtype=complex)
+            block[: n * p, : n * p] = np.kron(e, np.eye(p))
+            block[n * p :, n * p :] = np.kron(e.T, np.eye(q))
+            cols.append((u @ w @ block @ w.conj().T).flatten(order="F"))
+    return np.stack(cols, axis=1)
+
+
+def scaled_embedding():
+    """A -> a w (A^tr direct sum A) w* from M_2 to M_4, with Haar a and w."""
+    psi = direct_sum_embedding([BlockKind.TRANSPOSE, BlockKind.ID], haar_unitary(4, 5))
+    return compose(from_left_right(haar_unitary(4, 6), np.eye(4)), psi)
+
+
+@pytest.mark.parametrize("step", [0.0, 1e-9, 1e-8])
+def test_rectangular_residual_is_that_of_phi(step):
+    """The split's residual is rho = ||S_phi - polar(v) R||, not that of
+    psi = v* phi: moving the E_11 column leaves phi(I) = v inside the band
+    but not unitary, where the two differ."""
+    phi = scaled_embedding()
+    g = complex_gaussian(16, 1, np.random.default_rng(3))[:, 0]
+    phi = moved_column(phi, 0, 0, step * g / np.linalg.norm(g))
+    cert = classify_preserver(phi)
+    assert cert.v_unitarity_residual <= DEFAULT_TOL.effective(4, 4)
+    split = cert.jordan
+    assert (split.p, split.q) == (1, 1)
+    rho = operator_norm(phi.matrix - rectangular_rebuild(phi, 1, 1, split.w))
+    if step:
+        assert split.residual == pytest.approx(rho, rel=1e-9, abs=0)
+    else:
+        assert max(split.residual, rho) <= 1e-14
+
+
+def test_rectangular_split_uses_the_square_bound():
+    """A split passes only when 2 sqrt(n) rho + n rho^2 passes the band at
+    m x m, as a square Preserver does; rho alone under tol_eff is not enough."""
+    phi = scaled_embedding()
+    g = complex_gaussian(16, 1, np.random.default_rng(3))[:, 0]
+    phi = moved_column(phi, 1, 0, 3e-8 * g / np.linalg.norm(g))
+    teff = DEFAULT_TOL.effective(4, 4)
+    cert = classify_preserver(phi)
+    assert cert.v_unitarity_residual <= teff
+    split = cert.jordan
+    assert teff / (2 * math.sqrt(2)) < split.residual <= teff
+    assert (split.p, split.q) == (-1, -1)
+    assert split.w is None and split.e is None
+    assert cert.verdict is PreserverVerdict.INCONCLUSIVE and cert.reason == "theorem-scope"
 
 
 def test_rectangular_garbage_map_diagnostics():

@@ -24,6 +24,7 @@ from unitball.linalg import (
 from unitball.preserver import classify_preserver
 from unitball.superop import (
     BlockKind,
+    SuperOperator,
     apply,
     compose,
     direct_sum_embedding,
@@ -261,24 +262,46 @@ def test_certificate_round_trip_positive_case():
     )
     assert operator_norm(rebuilt.matrix - phi.matrix) <= 1e-12
     assert obj["witness"] is None and obj["witness_defect"] is None
-    assert obj["jordan"] is None and obj["w"] is None
+    assert obj["jordan"] is None and "w" not in obj
 
 
 def test_certificate_round_trip_negative_case():
     phi = trace_pinch_map(2)
     cert = classify_preserver(phi, seed=4)
     obj = roundtrip(ser.certificate_to_obj(cert))
-    assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "reconstruction-mismatch")
+    # P = I/2 has no eigenvalue above 1/2: the read-off ranks give no candidate
+    assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "unitary-recovery-failed")
     witness = ser.matrix_from_obj(obj["witness"])
     assert np.array_equal(witness, cert.witness)
     assert obj["witness_defect"] == cert.witness_defect
     assert obj["witness_defect"] == unitarity_defect(apply(phi, witness))
-    # the rejection carries its candidate
-    assert obj["kind"] == cert.kind.value
+    assert (obj["kind"], obj["u_left"], obj["v_right"]) == ("None", None, None)
+    assert obj["reconstruction_residual"] is None
+    assert "w" not in obj
+
+
+def test_mismatch_certificate_carries_its_candidate():
+    """A -> U (A + A^tr) V / 2 is read off as one form and rejected; the
+    report carries that candidate and its residual, which the emitted
+    factors reproduce."""
+    n = 3
+    hom = from_left_right(haar_unitary(n, 5), haar_unitary(n, 6))
+    phi = SuperOperator(n, n, (hom.matrix + compose(hom, transpose_map(n)).matrix) / 2)
+    cert = classify_preserver(phi, seed=4)
+    obj = roundtrip(ser.certificate_to_obj(cert))
+    assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "reconstruction-mismatch")
+    assert obj["kind"] == cert.kind.value != "None"
+    assert obj["transpose_flag"] == cert.transpose_flag
     assert obj["reconstruction_residual"] == cert.reconstruction_residual
-    assert np.array_equal(ser.matrix_from_obj(obj["u_left"]), cert.u_left)
-    assert np.array_equal(ser.matrix_from_obj(obj["v_right"]), cert.v_right)
-    assert obj["w"] is None
+    u, v = ser.matrix_from_obj(obj["u_left"]), ser.matrix_from_obj(obj["v_right"])
+    assert np.array_equal(u, cert.u_left) and np.array_equal(v, cert.v_right)
+    rebuilt = from_left_right(u, v)
+    if obj["transpose_flag"]:
+        rebuilt = compose(rebuilt, transpose_map(n))
+    assert obj["reconstruction_residual"] == pytest.approx(
+        operator_norm(phi.matrix - rebuilt.matrix), rel=1e-12
+    )
+    assert "w" not in obj
 
 
 def test_instance_spec_round_trip():
