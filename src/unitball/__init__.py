@@ -23,14 +23,8 @@ from .extremal import (
     selfadjoint_mean_of_unitaries,
 )
 from .gen import InstanceKind, InstanceSpec, corpus, derive_seed, generate, trace_pinch_map
-from .jordan import (
-    JordanReport,
-    MapKind,
-    StormerSplit,
-    jordan_check,
-    recover_conjugating_unitary,
-    stormer_split,
-)
+from .jordan import MapKind, StormerSplit, stormer_split
+from .jordan import jordan_check  # noqa: F401  unlisted; perfbench/reference.py imports it from here
 from .linalg import DEFAULT_TOL, RNG_NAME, Tolerance, haar_unitary, operator_norm
 from .preserver import (
     PreserverCertificate,
@@ -77,11 +71,8 @@ __all__ = [
     "compose",
     "direct_sum_embedding",
     "MapKind",
-    "JordanReport",
     "StormerSplit",
-    "jordan_check",
     "stormer_split",
-    "recover_conjugating_unitary",
     "PreserverVerdict",
     "PreserverCertificate",
     "classify_preserver",

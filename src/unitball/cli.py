@@ -63,11 +63,24 @@ _VERDICT_COLORS = {EXIT_OK: "32", EXIT_NEGATIVE: "31", EXIT_INCONCLUSIVE: "33"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract reserves 2 for verdicts."""
+    """argparse exits 2 on bad flags; the contract reserves 2 for verdicts.
+    A usage error is one stderr line, as every other error is."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """argparse type for an integer of at least ``low``, so that a bad
+    ``--seed`` or ``--samples`` is a usage error before any input is read."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return integer
 
 
 def _emit(report_obj: dict, summary: str, code: int) -> int:
@@ -182,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="preserver pipeline for a superoperator file")
     p.add_argument("superop", help="path to a superoperator JSON file")
     p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the witness search")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the witness search")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("make", help="generate an instance and write it as a superoperator file")
@@ -196,8 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="audit the structural preserver identities")
     p.add_argument("superop", help="path to a superoperator JSON file")
-    p.add_argument("--samples", type=int, default=50, help="sampled inputs per identity")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=50, help="sampled inputs per identity")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
     p.set_defaults(func=_cmd_verify_identities)
 

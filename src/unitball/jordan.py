@@ -11,9 +11,9 @@ psi(A) = W (A kron I_p + A^tr kron I_q) W* with W unitary and
 m = (p + q) n (Størmer); a map phi that sends unitaries to unitaries is
 v psi with v = phi(I) unitary (Russo-Dye), and p + q = 1 at m = n.
 :func:`read_off_split`, the one read-off of every ``classify``, reads W
-off the images of the matrix units and lets one residual
-rho = ||S_phi - polar(v) R|| decide.  :func:`jordan_check` and
-:func:`recover_conjugating_unitary` decide nothing; they are library API.
+off the images of the matrix units into one :class:`StormerSplit` and lets
+one residual rho = ||S_phi - polar(v) R|| decide.  :func:`jordan_check`
+and :func:`recover_conjugating_unitary` decide nothing.
 """
 
 from __future__ import annotations
@@ -29,16 +29,8 @@ from .linalg import (
 )
 from .superop import SuperOperator
 
-__all__ = [
-    "MapKind",
-    "JordanReport",
-    "StormerSplit",
-    "ReadOff",
-    "jordan_check",
-    "read_off_split",
-    "stormer_split",
-    "recover_conjugating_unitary",
-]
+# JordanReport, jordan_check, recover_conjugating_unitary: unlisted, kept for perfbench/spans.py and test oracles
+__all__ = ["MapKind", "StormerSplit", "read_off_split", "stormer_split"]
 
 
 class MapKind(Enum):
@@ -69,19 +61,24 @@ class JordanReport:
 
 @dataclass(frozen=True)
 class StormerSplit:
-    """psi(A) = w (A kron I_p + A^tr kron I_q) w*, certified by one residual.
+    """phi(A) = u w (A kron I_p + A^tr kron I_q) w*, as read off by
+    :func:`read_off_split` and judged by one residual.
 
-    ``residual`` is rho of :func:`read_off_split`, the operator-norm
-    distance between the input's superoperator matrix and that of the map
-    rebuilt from ``w``, or None when the ranks give no square ``w``.  Unless
-    its bound passes, p = q = -1 and ``w`` is None.  ``e`` is the central
-    projection onto the hom columns of ``w``.
+    ``residual`` is rho, the operator-norm distance between the input's
+    superoperator matrix and that of the map rebuilt from ``w``; both are
+    None when the ranks give no m x m ``w``.  ``passed`` says whether the
+    bound on rho passes, and when it fails ``worst`` names the (i, j) whose
+    image the candidate misses most; a rectangular certificate then shows
+    p = q = -1 and no ``w``.  ``e`` is the central projection onto the hom
+    columns of ``w``.
     """
 
     p: int
     q: int
     w: np.ndarray | None
     residual: float | None
+    passed: bool = False
+    worst: tuple[int, int] | None = None
 
     @property
     def e(self) -> np.ndarray | None:
@@ -130,28 +127,7 @@ def _above_half(a: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-@dataclass(frozen=True)
-class ReadOff:
-    """The candidate of :func:`read_off_split`, kept whether or not it
-    passes.  ``w`` and ``residual`` are None when the ranks give no m x m
-    conjugator, and ``worst`` names the (i, j) whose image the candidate
-    misses most when the bound fails."""
-
-    p: int
-    q: int
-    w: np.ndarray | None
-    residual: float | None
-    passed: bool = False
-    worst: tuple[int, int] | None = None
-
-    @property
-    def split(self) -> StormerSplit:
-        """The split as certified: p, q and w only when the bound passes."""
-        certified = (self.p, self.q, self.w) if self.passed else (-1, -1, None)
-        return StormerSplit(*certified, self.residual)
-
-
-def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> ReadOff:
+def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
     """The candidate phi(A) = u W (A kron I_p + A^tr kron I_q) W* read off
     the (n, n, m, m) images phi(E_ij), for a unitary u (polar(phi(I)) in
     ``classify``).
@@ -175,10 +151,10 @@ def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_T
     x, y = _above_half(hom_part), _above_half(top - hom_part)
     p, q = x.shape[1], y.shape[1]
     if (p + q) * n != m:
-        return ReadOff(p, q, None, None)
+        return StormerSplit(p, q, None, None)
     hom = (col @ x).transpose(1, 0, 2).reshape(m, n * p)
     anti = (row @ y).transpose(1, 0, 2).reshape(m, n * q)
-    w = polar_unitary(np.hstack([hom, anti]))[0]
+    w = polar_unitary(np.hstack([hom, anti]))
 
     # idx[i, j] lists W's hom columns of index i, then its anti columns of
     # index j, so u R(E_ij) is (u W)[:, idx[i, j]] times W[:, idx[j, i]]*
@@ -191,11 +167,11 @@ def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_T
     flat = diff.reshape(n * n, m * m)
     rho = operator_norm(flat)
     if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, m, m) is Band.PASS:
-        return ReadOff(p, q, w, rho, passed=True)
+        return StormerSplit(p, q, w, rho, passed=True)
     # row i n + j of flat is the miss on E_ij, squared and summed in place
     parts = flat.view(np.float64)
     worst = divmod(int(np.argmax(np.einsum("ij,ij->i", parts, parts))), n)
-    return ReadOff(p, q, w, rho, worst=worst)
+    return StormerSplit(p, q, w, rho, worst=worst)
 
 
 def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:
@@ -203,9 +179,9 @@ def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSp
     psi(A) = W (A kron I_p + A^tr kron I_q) W*.
 
     :func:`read_off_split` with u = I reads W off the images of the matrix
-    units and accepts it when the bound on rho = ||S_psi - R|| passes.
-    Raises ``ValueError`` naming rho otherwise (None when the read-off
-    ranks give no m x m conjugator).
+    units and returns its record when the bound on rho = ||S_psi - R||
+    passes.  Raises ``ValueError`` naming rho otherwise (None when the
+    read-off ranks give no m x m conjugator).
     """
     m = psi.dim_out
     fit = read_off_split(psi.images_of_matrix_units(), np.eye(m, dtype=np.complex128), tol)
@@ -214,7 +190,7 @@ def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSp
             f"no Størmer split of M_{psi.dim_in} -> M_{m} within tolerance "
             f"(residual={fit.residual}, tol_eff={tol.effective(m, m):.3e})"
         )
-    return fit.split
+    return fit
 
 
 def recover_conjugating_unitary(phi: SuperOperator, kind: MapKind) -> np.ndarray:

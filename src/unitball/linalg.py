@@ -119,20 +119,18 @@ def operator_norm(a: np.ndarray) -> float | np.ndarray:
     return float(top) if a.ndim == 2 else top
 
 
-def polar_unitary(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition ``a = w @ p`` of a square matrix.
+def polar_unitary(a: np.ndarray) -> np.ndarray:
+    """The unitary factor w of the polar decomposition a = w p of a square
+    matrix, with p = w* a Hermitian PSD.
 
     ``w = u @ vh`` from the SVD is unitary even when ``a`` is rank deficient
-    (the SVD convention fixes the gauge on the kernel), and ``p`` is the
-    Hermitian PSD factor.
+    (the SVD convention fixes the gauge on the kernel).
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"polar decomposition needs a square matrix, got {a.shape}")
-    u, s, vh = np.linalg.svd(a)
-    w = u @ vh
-    p = vh.conj().T @ (s[:, None] * vh)
-    return w, hermitian_part(p)
+    u, _, vh = np.linalg.svd(a)
+    return u @ vh
 
 
 def haar_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -197,15 +197,15 @@ def classify_preserver(
     form (Anti, q = 1), and rho = ||S - R|| bounds every image's miss of
     unitarity by 2 sqrt(n) rho + n rho^2.  Preserver needs that bound to
     pass ``tol.band`` at n x n, so no unitary can contradict it.  An image
-    of I inside the band yields Inconclusive.  Any other failure runs one
-    bounded witness search, started from the matrix unit whose image R
-    misses most (from I when the image of I fails, from Haar samples alone
-    when the ranks give no conjugator), whose witness (an image missing
-    unitarity by more than 10 tol_eff) yields NotPreserver and whose
-    exhaustion yields Inconclusive.  Rectangular maps get diagnostics only
-    (the same read-off, as the Størmer split of psi = u* phi when the same
-    bound passes at m x m) because the factorization theorem is about
-    endomorphisms.
+    of I that fails makes I the witness; one inside the band yields
+    Inconclusive.  Any other failure runs one bounded witness search,
+    started from the matrix unit whose image R misses most (from Haar
+    samples alone when the ranks give no conjugator), whose witness (an
+    image missing unitarity by more than 10 tol_eff) yields NotPreserver
+    and whose exhaustion yields Inconclusive.  Rectangular maps get
+    diagnostics only (the same read-off, as the Størmer split of
+    psi = u* phi, with p = q = -1 and no W unless the same bound passes at
+    m x m) because the factorization theorem is about endomorphisms.
     """
     n, m = phi.dim_in, phi.dim_out
     eye = np.eye(n, dtype=np.complex128)
@@ -222,15 +222,17 @@ def classify_preserver(
         )
 
     if n == m and v_band is Band.FAIL:
-        return reject("image-of-identity-not-unitary", [eye])
+        return PreserverCertificate(PreserverVerdict.NOT_PRESERVER, v, v_res, seed, witness=eye,
+                                    witness_defect=v_res, reason="image-of-identity-not-unitary")
     if v_band is not Band.PASS:
         reason = "image-of-identity-in-band" if n == m else "theorem-scope"
         return PreserverCertificate(PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason=reason)
-    u = polar_unitary(v)[0]
+    u = polar_unitary(v)
     fit = read_off_split(phi.images_of_matrix_units(), u, tol)
     if n != m:
+        split = fit if fit.passed else StormerSplit(-1, -1, None, fit.residual)
         return PreserverCertificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=fit.split, reason="theorem-scope"
+            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=split, reason="theorem-scope"
         )
     if fit.w is None:
         return reject("unitary-recovery-failed")

@@ -670,6 +670,32 @@ def test_infinite_tolerance_is_usage_error_before_reading_input(tmp_path, capsys
     assert err.count("\n") == 1 and "finite" in err
 
 
+_BAD_COUNT_INPUTS = {
+    "preserver": lambda: generate(InstanceSpec(n=2, kind=InstanceKind.HOM_PRESERVER, seed=7)),
+    "twice-identity": lambda: SuperOperator(2, 2, 2 * identity_map(2).matrix),
+    "pinch": lambda: trace_pinch_map(2),
+    "rectangular": lambda: generate(InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=3, p=1, q=1)),
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("command, flag, value, label", [
+    *[("classify", "--seed", "-1", label) for label in _BAD_COUNT_INPUTS],
+    ("verify-identities", "--samples", "0", "rectangular"),
+])
+def test_bad_seed_or_samples_is_usage_error_before_reading_input(
+    tmp_path, capsys, command, flag, value, label
+):
+    """Whatever the input, and before it is read, a negative seed or no
+    samples exits 64 with one stderr line that names the flag."""
+    make = _BAD_COUNT_INPUTS[label]
+    path = str(tmp_path / "missing.json") if make is None else write_superop(tmp_path, "in.json", make())
+    code, out, err = run(capsys, command, path, flag, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and flag in err
+
+
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
     """tol_eff = abs * sqrt(rows * cols) would overflow to inf at 1e308 on

@@ -1,10 +1,13 @@
 """The runtime dependencies pyproject.toml declares are the packages the
 source imports: no undeclared import, and no declared package left unused.
-And every name the benchmark scripts take from unitball still exists."""
+And every name the benchmark scripts take from unitball still exists, every
+``__all__`` entry resolves, and README's library text cites only exported
+names."""
 
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import pathlib
 import re
 import sys
@@ -96,3 +99,40 @@ def test_benchmark_reads_of_the_program_exist():
     assert callable(cli.main)
     assert "w" in {f.name for f in dataclasses.fields(PreserverCertificate)}
     assert StormerSplit(-1, -1, None, None).e is None
+
+
+MODULES = ["unitball"] + [
+    f"unitball.{path.stem}"
+    for path in sorted((ROOT / "src" / "unitball").glob("*.py"))
+    if path.stem not in ("__init__", "__main__")
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_all_entry_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_library_names_are_package_api():
+    """Every function or class of unitball that README's library text
+    (everything above "## CLI") cites by its bare name is in
+    ``unitball.__all__``, and every dotted ``unitball.x.y`` it cites exists."""
+    import unitball
+
+    library = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[0]
+    tour = re.search(r"from unitball import \(([^)]*)\)", library).group(1)
+    cited = {name.strip() for name in tour.split(",") if name.strip()}
+    cited |= set(re.findall(r"`([A-Za-z_]\w*)`", library))
+    defined = {
+        name
+        for module in MODULES
+        for name, obj in vars(importlib.import_module(module)).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__.startswith("unitball")
+    }
+    assert {"classify_preserver", "stormer_split", "falsify_by_sampling"} <= cited & defined
+    assert sorted(cited & defined - set(unitball.__all__)) == []
+    for dotted in re.findall(r"`(unitball(?:\.\w+)+)`", library):
+        module, name = dotted.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module), name), dotted

@@ -170,22 +170,26 @@ def test_operator_norm_checks_a_stack_like_a_matrix():
 # --------------------------------------------------------- factorizations
 
 
+def assert_polar_factor(w, a, atol):
+    """w is unitary and the polar factor of a: p = w* a is Hermitian PSD
+    and w p rebuilds a."""
+    p = w.conj().T @ a
+    assert unitarity_defect(w) < 1e-13
+    assert operator_norm(p - p.conj().T) < 1e-13
+    assert np.min(np.linalg.eigvalsh(hermitian_part(p))) > -1e-12
+    assert np.allclose(w @ p, a, atol=atol)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_polar_reconstructs_with_unitary_factor(seed):
     rng = np.random.default_rng(seed)
     a = random_matrix(rng, 4, 4)
-    w, p = polar_unitary(a)
-    assert unitarity_defect(w) < 1e-13
-    assert operator_norm(p - p.conj().T) < 1e-13
-    assert np.allclose(w @ p, a, atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(hermitian_part(p))) > -1e-12
+    assert_polar_factor(polar_unitary(a), a, atol=1e-12)
 
 
 def test_polar_handles_rank_deficient_input():
     a = np.diag([2.0, 0.0, 0.0]).astype(complex)
-    w, p = polar_unitary(a)
-    assert unitarity_defect(w) < 1e-13
-    assert np.allclose(w @ p, a, atol=1e-13)
+    assert_polar_factor(polar_unitary(a), a, atol=1e-13)
 
 
 def test_polar_rejects_rectangular():

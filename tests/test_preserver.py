@@ -151,6 +151,26 @@ def test_nonunitary_image_of_identity_short_circuits():
     assert cert.v_unitarity_residual == pytest.approx(0.75, abs=1e-14)
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0, 1e155])
+def test_identity_is_its_own_witness(scale, monkeypatch):
+    """When phi(I) fails, I is the witness: phi is applied once, to I, and
+    the witness defect is the defect of phi(I) already held."""
+    phi = SuperOperator(3, 3, scale * from_left_right(haar_unitary(3, 4), haar_unitary(3, 5)).matrix)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return apply(*args)
+
+    monkeypatch.setattr(preserver, "apply", counted)
+    cert = classify_preserver(phi)
+    assert cert.verdict is PreserverVerdict.NOT_PRESERVER
+    assert cert.reason == "image-of-identity-not-unitary"
+    assert len(calls) == 1 and np.array_equal(calls[0], np.eye(3))
+    assert np.array_equal(cert.witness, np.eye(3))
+    assert cert.witness_defect == cert.v_unitarity_residual == unitarity_defect(apply(phi, np.eye(3)))
+
+
 def test_unreadable_map_fails_recovery():
     """A -> A[1, 1] I sends I to I but E_11 to 0, so neither form reads off."""
     phi = SuperOperator(2, 2, np.outer(np.eye(2).flatten(order="F"), [0, 0, 0, 1]))
@@ -431,10 +451,10 @@ def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
     v = apply(phi, np.eye(n))
     for kind in (MapKind.HOM, MapKind.ANTI):
         try:
-            u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind))[0]
+            u = polar_unitary(jordan.recover_conjugating_unitary(phi, kind))
         except ValueError:
             continue
-        rebuilt = from_left_right(u, polar_unitary(adjoint(u) @ v)[0])
+        rebuilt = from_left_right(u, polar_unitary(adjoint(u) @ v))
         if kind is MapKind.ANTI:
             rebuilt = compose(rebuilt, transpose_map(n))
         rho = operator_norm(phi.matrix - rebuilt.matrix)
@@ -673,7 +693,7 @@ def rectangular_rebuild(phi, p, q, w):
     """Matrix of A -> polar(phi(I)) w (A kron I_p + A^tr kron I_q) w*, one
     column vec(image of E_ij) at a time."""
     n, m = phi.dim_in, phi.dim_out
-    u = polar_unitary(apply(phi, np.eye(n)))[0]
+    u = polar_unitary(apply(phi, np.eye(n)))
     cols = []
     for j in range(n):
         for i in range(n):
