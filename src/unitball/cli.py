@@ -84,7 +84,15 @@ def _int_at_least(low: int):
 
 
 def _emit(report_obj: dict, summary: str, code: int) -> int:
-    print(ser.dump_json(report_obj))
+    """Write the report to stdout, flushed, and the summary to stderr.  A reader
+    that closed stdout early ends the output, not the exit code: stdout's
+    descriptor then points at devnull, so the flush at exit cannot raise again."""
+    try:
+        print(ser.dump_json(report_obj), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if sys.stderr.isatty() and not os.environ.get("NO_COLOR"):
         color = _VERDICT_COLORS.get(code, "0")
         summary = f"\x1b[{color}m{summary}\x1b[0m"
@@ -112,14 +120,14 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
         raise ser.FormatError(f"algebra sits in M_{basis.n} but the matrix is {rows}x{cols}")
 
     rep = kadison_extreme_test(a, basis, tol)
-    report = {"isometry_class": rep.isometry_class.value, "report": ser.extreme_report_to_obj(rep)}
+    report = {"isometry_class": rep.isometry_class.value, "report": ser.to_obj(rep)}
     return report, rep.verdict.value, f"kadison residual {rep.kadison_residual:.3e}"
 
 
 def _cmd_classify(args, tol: Tolerance) -> tuple[dict, str, str]:
     phi = ser.superop_from_obj(ser.load_json(args.superop))
     cert = classify_preserver(phi, tol, seed=args.seed)
-    report = {"certificate": ser.certificate_to_obj(cert)}
+    report = {"certificate": ser.to_obj(cert)}
     return report, cert.verdict.value, cert.reason or f"kind {cert.kind.value}"
 
 
@@ -156,11 +164,9 @@ def _cmd_make(args) -> int:
 
     phi = generate(spec)
     obj = ser.superop_to_obj(phi)
-    obj["meta"] = {"instance": ser.instance_spec_to_obj(spec)}
+    obj["meta"] = {"instance": ser.to_obj(spec)}
     if not args.out:
-        print(ser.dump_json(obj))
-        print(f"generated {spec.kind.value} instance, seed {spec.seed}", file=sys.stderr)
-        return EXIT_OK
+        return _emit(obj, f"generated {spec.kind.value} instance, seed {spec.seed}", EXIT_OK)
 
     try:
         ser.save_json(args.out, obj)
@@ -168,9 +174,7 @@ def _cmd_make(args) -> int:
         print(f"make: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
     echo = {"instance": obj["meta"]["instance"], "dim_in": phi.dim_in, "dim_out": phi.dim_out, "out": args.out}
-    print(ser.dump_json(echo))
-    print(f"wrote {spec.kind.value} instance to {args.out}", file=sys.stderr)
-    return EXIT_OK
+    return _emit(echo, f"wrote {spec.kind.value} instance to {args.out}", EXIT_OK)
 
 
 @functools.cache

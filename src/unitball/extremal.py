@@ -11,7 +11,7 @@ that witness non-extremeness of contractions.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -168,16 +168,17 @@ class ExtremePointReport:
     above ``9 * tol_eff`` for NotExtreme, in between for Inconclusive.
     ``witness_index`` points at a basis element with
     ``||(I - w*w) B_k (I - ww*)|| > tol`` when one exists.
-    ``isometry_class`` is what :func:`classify_isometry` gives for ``w``.
+    ``isometry_class`` is what :func:`classify_isometry` gives for ``w``;
+    hidden from the report, ``check-extreme`` writes it beside the report.
     """
 
+    verdict: ExtremeVerdict
     defect_left: float
     defect_right: float
     is_partial_isometry: bool
     kadison_residual: float
-    verdict: ExtremeVerdict
     margin: float
-    isometry_class: IsometryClass
+    isometry_class: IsometryClass = field(metadata={"hidden": True})
     witness_index: int | None = None
 
 
@@ -271,11 +272,11 @@ def kadison_extreme_test(
 
     witness = best_index if residual > teff else None
     return ExtremePointReport(
+        verdict=verdict,
         defect_left=projection_defect,
         defect_right=projection_defect,
         is_partial_isometry=is_pi,
         kadison_residual=residual,
-        verdict=verdict,
         margin=float(score - teff),
         isometry_class=_isometry_class(s, n, n, tol),
         witness_index=witness,

@@ -19,7 +19,7 @@ and :func:`recover_conjugating_unitary` decide nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -68,17 +68,17 @@ class StormerSplit:
     superoperator matrix and that of the map rebuilt from ``w``; both are
     None when the ranks give no m x m ``w``.  ``passed`` says whether the
     bound on rho passes, and when it fails ``worst`` names the (i, j) whose
-    image the candidate misses most; a rectangular certificate then shows
-    p = q = -1 and no ``w``.  ``e`` is the central projection onto the hom
-    columns of ``w``.
+    image the candidate misses most; both are hidden from the report, and a
+    rectangular certificate then shows p = q = -1 and no ``w``.  ``e`` is
+    the central projection onto the hom columns of ``w``.
     """
 
     p: int
     q: int
     w: np.ndarray | None
     residual: float | None
-    passed: bool = False
-    worst: tuple[int, int] | None = None
+    passed: bool = field(default=False, metadata={"hidden": True})
+    worst: tuple[int, int] | None = field(default=None, metadata={"hidden": True})
 
     @property
     def e(self) -> np.ndarray | None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,24 +76,24 @@ class PreserverCertificate:
     unitary test by ``witness_defect``.  ``jordan`` holds the Størmer split
     of a rectangular map whose image of I passes: multiplicities p, q,
     conjugator W and the residual that judged it.  ``w`` is retired, always
-    None and not emitted (it equalled ``v_right`` conjugate-transposed).
-    Fields that a given path never
-    computed keep their defaults: None, ``MapKind.NONE`` or False.
+    None and hidden from the report (it equalled ``v_right`` conjugate-
+    transposed).  Fields that a given path never computed keep their
+    defaults: None, ``MapKind.NONE`` or False.
     """
 
     verdict: PreserverVerdict
     v: np.ndarray
     v_unitarity_residual: float
-    seed: int
     jordan: StormerSplit | None = None
     kind: MapKind = MapKind.NONE
     u_left: np.ndarray | None = None
     v_right: np.ndarray | None = None
     transpose_flag: bool = False
-    w: np.ndarray | None = None
+    w: np.ndarray | None = field(default=None, metadata={"hidden": True})
     reconstruction_residual: float | None = None
     witness: np.ndarray | None = None
     witness_defect: float | None = None
+    seed: int = field(kw_only=True)
     reason: str = ""
 
 
@@ -217,22 +217,22 @@ def classify_preserver(
         witness, defect = _search_witness(phi, tol, seed, starts)
         return PreserverCertificate(
             PreserverVerdict.INCONCLUSIVE if witness is None else PreserverVerdict.NOT_PRESERVER,
-            v, v_res, seed,
+            v, v_res, seed=seed,
             witness=witness, witness_defect=defect, reason=reason, **fields,
         )
 
     if n == m and v_band is Band.FAIL:
-        return PreserverCertificate(PreserverVerdict.NOT_PRESERVER, v, v_res, seed, witness=eye,
+        return PreserverCertificate(PreserverVerdict.NOT_PRESERVER, v, v_res, seed=seed, witness=eye,
                                     witness_defect=v_res, reason="image-of-identity-not-unitary")
     if v_band is not Band.PASS:
         reason = "image-of-identity-in-band" if n == m else "theorem-scope"
-        return PreserverCertificate(PreserverVerdict.INCONCLUSIVE, v, v_res, seed, reason=reason)
+        return PreserverCertificate(PreserverVerdict.INCONCLUSIVE, v, v_res, seed=seed, reason=reason)
     u = polar_unitary(v)
     fit = read_off_split(phi.images_of_matrix_units(), u, tol)
     if n != m:
         split = fit if fit.passed else StormerSplit(-1, -1, None, fit.residual)
         return PreserverCertificate(
-            PreserverVerdict.INCONCLUSIVE, v, v_res, seed, jordan=split, reason="theorem-scope"
+            PreserverVerdict.INCONCLUSIVE, v, v_res, seed=seed, jordan=split, reason="theorem-scope"
         )
     if fit.w is None:
         return reject("unitary-recovery-failed")
@@ -240,7 +240,7 @@ def classify_preserver(
     fields = dict(kind=kind, u_left=u @ fit.w, v_right=adjoint(fit.w),
                   transpose_flag=fit.q == 1, reconstruction_residual=fit.residual)
     if fit.passed:
-        return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed, **fields)
+        return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed=seed, **fields)
     return reject("reconstruction-mismatch", _pair_unitaries(n, fit.worst), **fields)
 
 

@@ -11,22 +11,25 @@ Input files are decoded with orjson, which parses a large matrix to the same
 doubles several times faster than ``json`` and rejects ``NaN``/``Infinity``,
 numbers beyond the float range and bytes that are not UTF-8.  Reports are
 written with ``json``, whose float text (``1e-07``, not ``1e-7``) they keep.
+
+Reports are written from their records by :func:`to_obj`, field by field in
+declaration order, so a field added to a record is reported with no edit
+here; fields marked ``metadata={"hidden": True}`` are left out.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import reprlib
+from enum import Enum
 from itertools import chain
 from typing import Any
 
 import numpy as np
 import orjson
 
-from .extremal import ExtremePointReport
-from .gen import InstanceSpec
 from .linalg import RNG_NAME, Tolerance, as_matrix
-from .preserver import PreserverCertificate
 from .superop import SuperOperator
 
 __all__ = [
@@ -37,10 +40,7 @@ __all__ = [
     "superop_to_obj",
     "superop_from_obj",
     "algebra_elements_from_obj",
-    "tolerance_to_obj",
-    "extreme_report_to_obj",
-    "certificate_to_obj",
-    "instance_spec_to_obj",
+    "to_obj",
     "load_json",
     "save_json",
     "dump_json",
@@ -126,10 +126,6 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
     return parts.view(np.complex128).reshape(rows, cols)
 
 
-def _opt_matrix_to_obj(a: np.ndarray | None):
-    return None if a is None else matrix_to_obj(a)
-
-
 def superop_to_obj(phi: SuperOperator) -> dict:
     return {
         "dim_in": phi.dim_in,
@@ -171,54 +167,22 @@ def algebra_elements_from_obj(obj: Any) -> tuple[int, list[np.ndarray]]:
     return n, elems
 
 
-def tolerance_to_obj(tol: Tolerance) -> dict:
-    return {"abs": tol.abs}
+def to_obj(record: Any) -> Any:
+    """A report record as JSON values: a dataclass becomes a dict of its fields
+    that are not hidden, in declaration order, an ndarray a matrix document,
+    an Enum its value; anything else, None included, is kept as it is."""
+    if dataclasses.is_dataclass(record):
+        names = (f.name for f in dataclasses.fields(record) if not f.metadata.get("hidden"))
+        return {name: to_obj(getattr(record, name)) for name in names}
+    if isinstance(record, np.ndarray):
+        return matrix_to_obj(record)
+    if isinstance(record, Enum):
+        return record.value
+    return record
 
 
-def extreme_report_to_obj(r: ExtremePointReport) -> dict:
-    return {
-        "verdict": r.verdict.value,
-        "defect_left": r.defect_left,
-        "defect_right": r.defect_right,
-        "is_partial_isometry": r.is_partial_isometry,
-        "kadison_residual": r.kadison_residual,
-        "margin": r.margin,
-        "witness_index": r.witness_index,
-    }
-
-
-def certificate_to_obj(c: PreserverCertificate) -> dict:
-    return {
-        "verdict": c.verdict.value,
-        "v": matrix_to_obj(c.v),
-        "v_unitarity_residual": c.v_unitarity_residual,
-        "jordan": None if c.jordan is None else {
-            "p": c.jordan.p,
-            "q": c.jordan.q,
-            "w": _opt_matrix_to_obj(c.jordan.w),
-            "residual": c.jordan.residual,
-        },
-        "kind": c.kind.value,
-        "u_left": _opt_matrix_to_obj(c.u_left),
-        "v_right": _opt_matrix_to_obj(c.v_right),
-        "transpose_flag": c.transpose_flag,
-        "reconstruction_residual": c.reconstruction_residual,
-        "witness": _opt_matrix_to_obj(c.witness),
-        "witness_defect": c.witness_defect,
-        "seed": c.seed,
-        "reason": c.reason,
-    }
-
-
-def instance_spec_to_obj(spec: InstanceSpec) -> dict:
-    return {
-        "n": spec.n,
-        "kind": spec.kind.value,
-        "seed": spec.seed,
-        "p": spec.p,
-        "q": spec.q,
-        "epsilon": spec.epsilon,
-    }
+# unlisted aliases that perfbench/spans.py calls; they go with ROADMAP item 2's replay
+certificate_to_obj = extreme_report_to_obj = to_obj
 
 
 def run_info(tol: Tolerance, seed: int | None, wall_time_s: float) -> dict:
@@ -228,7 +192,7 @@ def run_info(tol: Tolerance, seed: int | None, wall_time_s: float) -> dict:
         "tool": "unitball",
         "version": __version__,
         "rng": RNG_NAME,
-        "tolerance": tolerance_to_obj(tol),
+        "tolerance": to_obj(tol),
         "wall_time_s": wall_time_s,
     }
     if seed is not None:

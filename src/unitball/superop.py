@@ -185,12 +185,13 @@ def direct_sum_embedding(
     if unitarity_defect(w) > tol.effective(size, size):
         raise ValueError("conjugator is not unitary within tolerance")
 
-    # E_ij lands at (i, j) of its diagonal block, or at (j, i) for a transpose block
+    # E_ij lands at (r, c) = (i, j) of its diagonal block, or at (j, i) for a
+    # transpose block, so its image is the sum over blocks of w[:, r] w[:, c]*
     j, i = np.divmod(np.arange(n * n), n)
     off = n * np.arange(k)[:, None]
     flip = np.array([kind is not BlockKind.ID for kind in kinds])[:, None]
     r, c = off + np.where(flip, j, i), off + np.where(flip, i, j)
-    block = np.zeros((size * size, n * n), dtype=np.complex128)
-    block[r + c * size, i + j * n] = 1.0
-    blocks = SuperOperator(n, size, block)
-    return compose(from_left_right(w, w.conj().T), blocks)
+    # entry [i + j n, b, a] is the image of E_ij at (a, b): the transposed
+    # rows are the column-stacked images, with no m^4 Kronecker product
+    images_t = w.conj()[:, c].transpose(2, 0, 1) @ w[:, r].transpose(2, 1, 0)
+    return SuperOperator(n, size, images_t.reshape(n * n, size * size).T)

@@ -7,8 +7,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 
@@ -16,13 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import unitball
 from unitball import cli, serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from unitball.extremal import ExtremeVerdict
 from unitball.gen import InstanceSpec, InstanceKind, generate, trace_pinch_map
 from unitball.linalg import DEFAULT_TOL, haar_from_rng, matrix_unit
 from unitball.preserver import PreserverVerdict
-from unitball.superop import SuperOperator, from_left_right, identity_map
+from unitball.superop import BlockKind, SuperOperator, direct_sum_embedding, from_left_right, identity_map
 
 
 def run(capsys, *argv):
@@ -895,3 +899,36 @@ def test_stdout_is_pure_json_for_reports(tmp_path, capsys):
     _, out, err = run(capsys, "check-extreme", path)
     json.loads(out)  # no banner, no color codes
     assert err.strip() != ""
+
+
+@pytest.mark.parametrize("case, code", [
+    ("preserver", EXIT_OK),
+    ("rectangular", EXIT_INCONCLUSIVE),
+    ("twice-identity", EXIT_NEGATIVE),
+    ("make", EXIT_OK),
+])
+def test_closed_stdout_keeps_the_exit_code(tmp_path, case, code):
+    """A reader that closes stdout before the report is written, as in
+    ``unitball classify f.json | true``, changes neither the exit code nor
+    stderr: no traceback, no error at interpreter exit."""
+    maps = {
+        "preserver": generate(InstanceSpec(n=1, kind=InstanceKind.HOM_PRESERVER, seed=0)),
+        "rectangular": direct_sum_embedding([BlockKind.ID, BlockKind.ID], np.eye(2)),
+        "twice-identity": SuperOperator(2, 2, 2 * np.eye(4)),
+    }
+    if case == "make":
+        argv = ["make", "--kind", "hom", "--n", "1"]
+    else:
+        argv = ["classify", write_superop(tmp_path, "phi.json", maps[case])]
+    src = str(pathlib.Path(unitball.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "unitball", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.strip() != ""

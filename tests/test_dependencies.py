@@ -1,8 +1,8 @@
 """The runtime dependencies pyproject.toml declares are the packages the
 source imports: no undeclared import, and no declared package left unused.
-And every name the benchmark scripts take from unitball still exists, every
-``__all__`` entry resolves, and README's library text cites only exported
-names."""
+The file formats import no analysis module.  And every name the benchmark
+scripts take from unitball still exists, every ``__all__`` entry resolves,
+and README's library text cites only exported names."""
 
 import ast
 import dataclasses
@@ -41,6 +41,21 @@ def imported_packages() -> set[str]:
 
 def test_declared_dependencies_are_the_imported_packages():
     assert imported_packages() == declared_dependencies()
+
+
+def test_serialize_imports_no_analysis_module():
+    """Reports are written from their records, so ``serialize`` needs no
+    module that defines one besides ``linalg`` and ``superop``."""
+    path = ROOT / "src" / "unitball" / "serialize.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+    assert names.isdisjoint({"extremal", "gen", "jordan", "preserver"})
+    assert {"linalg", "superop"} <= names
 
 
 def _submodule(package: str, name: str) -> str | None:

@@ -3,7 +3,7 @@ compares equal entry by entry, with no tolerance.  Reports are written,
 never read back, so their tests check the JSON text the writers emit."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -208,14 +208,14 @@ def test_algebra_document_shape_mismatch():
 
 def test_tolerance_round_trip():
     tol = Tolerance(abs=3e-7)
-    obj = roundtrip(ser.tolerance_to_obj(tol))
+    obj = roundtrip(ser.to_obj(tol))
     assert obj == {"abs": 3e-7}
     assert Tolerance(**obj) == tol
 
 
 def test_extreme_report_round_trip():
     rep = kadison_extreme_test(matrix_unit(2, 0, 0), StarAlgebraBasis.full(2))
-    obj = roundtrip(ser.extreme_report_to_obj(rep))
+    obj = roundtrip(ser.to_obj(rep))
     expected = {**asdict(rep), "verdict": "NotExtreme"}
     # check-extreme writes the class beside the report object, not in it
     assert expected.pop("isometry_class") is IsometryClass.PARTIAL_ISOMETRY
@@ -228,7 +228,7 @@ def test_rectangular_certificate_round_trip():
     n, w0 = 2, haar_unitary(6, 23)
     phi = direct_sum_embedding([BlockKind.TRANSPOSE, BlockKind.ID, BlockKind.TRANSPOSE], w0)
     cert = classify_preserver(phi)
-    obj = roundtrip(ser.certificate_to_obj(cert))
+    obj = roundtrip(ser.to_obj(cert))
     assert (obj["verdict"], obj["reason"]) == ("Inconclusive", "theorem-scope")
     split = obj["jordan"]
     assert sorted(split) == ["p", "q", "residual", "w"]
@@ -250,7 +250,7 @@ def test_certificate_round_trip_positive_case():
         from_left_right(haar_unitary(n, 5), haar_unitary(n, 6)), transpose_map(n)
     )
     cert = classify_preserver(phi, seed=9)
-    obj = roundtrip(ser.certificate_to_obj(cert))
+    obj = roundtrip(ser.to_obj(cert))
     assert (obj["verdict"], obj["kind"], obj["transpose_flag"]) == ("Preserver", "Anti", True)
     assert obj["seed"] == 9
     assert obj["reconstruction_residual"] == cert.reconstruction_residual
@@ -268,7 +268,7 @@ def test_certificate_round_trip_positive_case():
 def test_certificate_round_trip_negative_case():
     phi = trace_pinch_map(2)
     cert = classify_preserver(phi, seed=4)
-    obj = roundtrip(ser.certificate_to_obj(cert))
+    obj = roundtrip(ser.to_obj(cert))
     # P = I/2 has no eigenvalue above 1/2: the read-off ranks give no candidate
     assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "unitary-recovery-failed")
     witness = ser.matrix_from_obj(obj["witness"])
@@ -288,7 +288,7 @@ def test_mismatch_certificate_carries_its_candidate():
     hom = from_left_right(haar_unitary(n, 5), haar_unitary(n, 6))
     phi = SuperOperator(n, n, (hom.matrix + compose(hom, transpose_map(n)).matrix) / 2)
     cert = classify_preserver(phi, seed=4)
-    obj = roundtrip(ser.certificate_to_obj(cert))
+    obj = roundtrip(ser.to_obj(cert))
     assert (obj["verdict"], obj["reason"]) == ("NotPreserver", "reconstruction-mismatch")
     assert obj["kind"] == cert.kind.value != "None"
     assert obj["transpose_flag"] == cert.transpose_flag
@@ -304,9 +304,48 @@ def test_mismatch_certificate_carries_its_candidate():
     assert "w" not in obj
 
 
+def test_to_obj_writes_each_record_in_field_order():
+    """A report's keys are its record's fields in declaration order, less
+    the hidden ones: the retired ``w``, the split's decision internals and
+    the isometry class ``check-extreme`` writes beside the report."""
+    n = 3
+    hom = from_left_right(haar_unitary(n, 5), haar_unitary(n, 6))
+    mixture = SuperOperator(n, n, (hom.matrix + compose(hom, transpose_map(n)).matrix) / 2)
+    rect = direct_sum_embedding([BlockKind.ID, BlockKind.TRANSPOSE], haar_unitary(2 * n, 23))
+    certs = [classify_preserver(phi, seed=4) for phi in (hom, mixture, rect)]
+    assert [c.reason for c in certs] == ["", "reconstruction-mismatch", "theorem-scope"]
+    records = [
+        *certs,
+        certs[2].jordan,
+        kadison_extreme_test(matrix_unit(2, 0, 0), StarAlgebraBasis.full(2)),
+        InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=12, p=2, q=1),
+        Tolerance(abs=3e-7),
+    ]
+    for record in records:
+        names = [f.name for f in fields(record) if not f.metadata.get("hidden")]
+        assert list(roundtrip(ser.to_obj(record))) == names
+    # the report formats themselves, which a reordered field would change
+    assert list(roundtrip(ser.to_obj(certs[0]))) == [
+        "verdict", "v", "v_unitarity_residual", "jordan", "kind", "u_left", "v_right",
+        "transpose_flag", "reconstruction_residual", "witness", "witness_defect", "seed", "reason",
+    ]
+    assert list(roundtrip(ser.to_obj(records[4]))) == [
+        "verdict", "defect_left", "defect_right", "is_partial_isometry", "kadison_residual",
+        "margin", "witness_index",
+    ]
+    assert list(roundtrip(ser.to_obj(certs[2]))["jordan"]) == ["p", "q", "w", "residual"]
+    hidden = {f"{type(r).__name__}.{f.name}" for r in records for f in fields(r) if f.metadata.get("hidden")}
+    assert hidden == {
+        "PreserverCertificate.w",
+        "StormerSplit.passed",
+        "StormerSplit.worst",
+        "ExtremePointReport.isometry_class",
+    }
+
+
 def test_instance_spec_round_trip():
     spec = InstanceSpec(n=2, kind=InstanceKind.MIXED_JORDAN, seed=12, p=2, q=1)
-    obj = roundtrip(ser.instance_spec_to_obj(spec))
+    obj = roundtrip(ser.to_obj(spec))
     assert obj == {"n": 2, "kind": "mixed", "seed": 12, "p": 2, "q": 1, "epsilon": 0.0}
 
 

@@ -2,6 +2,8 @@
 oracles: the Kronecker identity is verified coefficient by coefficient and
 every builder is compared with the explicit matrix formula it encodes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,44 @@ def test_direct_sum_passes_jordan_check():
     rep = jordan_check(phi)
     assert rep.is_jordan
     assert max(rep.r_square, rep.r_star, rep.r_unital) <= 1e-10
+
+
+def _kronecker_embedding(kinds, w) -> np.ndarray:
+    """The embedding as (w-bar kron w) times the 0/1 matrix that places E_ij
+    in each diagonal block, transposed in a transpose block."""
+    size = w.shape[0]
+    n = size // len(kinds)
+    block = np.zeros((size * size, n * n), dtype=complex)
+    for b, kind in enumerate(kinds):
+        for i in range(n):
+            for j in range(n):
+                r, c = (i, j) if kind is BlockKind.ID else (j, i)
+                block[b * n + r + (b * n + c) * size, i + j * n] = 1.0
+    return compose(from_left_right(w, w.conj().T), SuperOperator(n, size, block)).matrix
+
+
+@pytest.mark.parametrize("kinds", [
+    [BlockKind.ID, BlockKind.TRANSPOSE, BlockKind.ID],
+    [BlockKind.TRANSPOSE, BlockKind.ID],
+])
+def test_direct_sum_matches_the_kronecker_construction(kinds):
+    w = haar_unitary(3 * len(kinds), 31)
+    phi = direct_sum_embedding(kinds, w)
+    assert np.max(np.abs(phi.matrix - _kronecker_embedding(kinds, w))) <= 1e-14
+
+
+def test_direct_sum_builds_no_kronecker_product():
+    """At n = 12, p = q = 2 the m^4 Kronecker product w-bar kron w would be
+    16 times the m^2 n^2 output; the traced peak stays under 4 outputs."""
+    n, kinds = 12, [BlockKind.ID] * 2 + [BlockKind.TRANSPOSE] * 2
+    w = haar_unitary(4 * n, 37)
+    tracemalloc.start()
+    try:
+        phi = direct_sum_embedding(kinds, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * phi.matrix.nbytes
 
 
 def test_direct_sum_square_identity_form():
