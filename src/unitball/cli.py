@@ -70,14 +70,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer of at least ``low``, so that a bad
-    ``--seed`` or ``--samples`` is a usage error before any input is read."""
+def _int_in(low: int, high: int = 2**64 - 1):
+    """argparse type for an integer in [low, high], so that a bad ``--seed``
+    or ``--samples`` is a usage error before any input is read.  A report
+    holds no integer from 2**64 up, which its writer (orjson) cannot write."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {value}")
         return value
 
     return integer
@@ -199,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="preserver pipeline for a superoperator file")
     p.add_argument("superop", help="path to a superoperator JSON file")
     p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for the witness search")
+    p.add_argument("--seed", type=_int_in(0), default=0, help="seed for the witness search")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("make", help="generate an instance and write it as a superoperator file")
@@ -208,13 +209,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=0, help="identity-block multiplicity (mixed kind)")
     p.add_argument("--q", type=int, default=0, help="transpose-block multiplicity (mixed kind)")
     p.add_argument("--epsilon", type=float, default=0.0, help="perturbation size (perturbed kind)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_in(-(2**63)), default=0)
     p.add_argument("--out", help="output path (default: write the file to stdout)")
 
     p = sub.add_parser("verify-identities", help="audit the structural preserver identities")
     p.add_argument("superop", help="path to a superoperator JSON file")
-    p.add_argument("--samples", type=_int_at_least(1), default=50, help="sampled inputs per identity")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_int_in(1), default=50, help="sampled inputs per identity")
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--tol", type=float, default=1e-8, help="absolute tolerance (default 1e-8)")
     p.set_defaults(func=_cmd_verify_identities)
 

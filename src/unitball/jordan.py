@@ -64,19 +64,21 @@ class StormerSplit:
     """phi(A) = u w (A kron I_p + A^tr kron I_q) w*, as read off by
     :func:`read_off_split` and judged by one residual.
 
-    ``residual`` is rho, the operator-norm distance between the input's
-    superoperator matrix and that of the map rebuilt from ``w``; both are
-    None when the ranks give no m x m ``w``.  ``passed`` says whether the
-    bound on rho passes, and when it fails ``worst`` names the (i, j) whose
-    image the candidate misses most; both are hidden from the report, and a
-    rectangular certificate then shows p = q = -1 and no ``w``.  ``e`` is
-    the central projection onto the hom columns of ``w``.
+    ``residual`` is the distance of the input's superoperator matrix from
+    that of the map rebuilt from ``w``, Frobenius where it passes the bound
+    on rho (the operator norm) and rho otherwise, as ``residual_norm`` says;
+    all three are None when the ranks give no m x m ``w``.  ``passed`` says
+    whether the bound on rho passes, and when it fails ``worst`` names the
+    (i, j) whose image the candidate misses most; both are hidden from the
+    report, and a rectangular certificate then shows p = q = -1 and no
+    ``w``.  ``e`` is the central projection onto the hom columns of ``w``.
     """
 
     p: int
     q: int
     w: np.ndarray | None
     residual: float | None
+    residual_norm: str | None = None
     passed: bool = field(default=False, metadata={"hidden": True})
     worst: tuple[int, int] | None = field(default=None, metadata={"hidden": True})
 
@@ -139,10 +141,12 @@ def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_T
     H and P - H, and W is the polar factor of the columns psi(E_i1) X and
     psi(E_1i) Y, ordered as in A kron I_p and A^tr kron I_q.  No tolerance
     picks X or Y: any choice gives an exactly unitary W, and rho decides.
-    u R is built by one broadcast matmul in the buffer of S - u R, and
-    rho = ||S - u R|| is read off one SVD.  A unitary A has
-    ||vec A|| = sqrt(n), so its image misses unitarity by at most
-    2 sqrt(n) rho + n rho^2, the bound judged by ``tol.band`` at m x m.
+    u R is built by one broadcast matmul in the buffer of S - u R.  A
+    unitary A has ||vec A|| = sqrt(n), so its image misses unitarity by at
+    most 2 sqrt(n) rho + n rho^2 with rho = ||S - u R||, the bound judged by
+    ``tol.band`` at m x m.  rho <= ||S - u R||_F, so the bound is judged
+    first at the Frobenius norm and rho is read off one SVD only when that
+    fails: the verdict is rho's, and the record names the residual's norm.
     """
     n, m = images.shape[0], images.shape[2]
     col, row = adjoint(u) @ images[:, 0], adjoint(u) @ images[0]
@@ -165,13 +169,21 @@ def read_off_split(images: np.ndarray, u: np.ndarray, tol: Tolerance = DEFAULT_T
     diff = np.matmul(left, right, out=np.empty((n, n, m, m), np.complex128))
     np.subtract(images, diff, out=diff)
     flat = diff.reshape(n * n, m * m)
-    rho = operator_norm(flat)
-    if tol.band(2 * math.sqrt(n) * rho + n * rho * rho, m, m) is Band.PASS:
-        return StormerSplit(p, q, w, rho, passed=True)
-    # row i n + j of flat is the miss on E_ij, squared and summed in place
+
+    def passes(rho: float) -> bool:
+        return tol.band(2 * math.sqrt(n) * rho + n * rho * rho, m, m) is Band.PASS
+
+    # row i n + j of flat is the miss on E_ij, squared and summed in place;
+    # a sum that overflows is an infinite rho_F, which fails the gate
     parts = flat.view(np.float64)
-    worst = divmod(int(np.argmax(np.einsum("ij,ij->i", parts, parts))), n)
-    return StormerSplit(p, q, w, rho, worst=worst)
+    with np.errstate(over="ignore"):
+        misses = np.einsum("ij,ij->i", parts, parts)
+        rho, norm = math.sqrt(misses.sum()), "frobenius"
+    if not passes(rho):
+        rho, norm = operator_norm(flat), "operator"
+    if passes(rho):
+        return StormerSplit(p, q, w, rho, norm, passed=True)
+    return StormerSplit(p, q, w, rho, norm, worst=divmod(int(np.argmax(misses)), n))
 
 
 def stormer_split(psi: SuperOperator, tol: Tolerance = DEFAULT_TOL) -> StormerSplit:

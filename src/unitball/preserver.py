@@ -69,16 +69,17 @@ class PreserverCertificate:
     ``v_right`` and ``transpose_flag`` describe the one candidate
     A -> u_left A v_right (transpose applied first when ``transpose_flag``
     is set) that :func:`classify_preserver` read off, and
-    ``reconstruction_residual`` is its absolute operator-norm distance rho
-    from the input superoperator matrix.  A Preserver is that candidate; a
-    rejection carries it too, so its residual can be re-checked.  For a
-    NotPreserver, ``witness`` is a concrete unitary whose image fails the
-    unitary test by ``witness_defect``.  ``jordan`` holds the Størmer split
-    of a rectangular map whose image of I passes: multiplicities p, q,
-    conjugator W and the residual that judged it.  ``w`` is retired, always
-    None and hidden from the report (it equalled ``v_right`` conjugate-
-    transposed).  Fields that a given path never computed keep their
-    defaults: None, ``MapKind.NONE`` or False.
+    ``reconstruction_residual`` is its absolute distance from the input
+    superoperator matrix in the norm ``residual_norm`` names, Frobenius
+    (``"frobenius"``, at least the operator norm rho) or rho (``"operator"``).
+    A Preserver is that candidate; a rejection carries it too, so its residual
+    can be re-checked.  For a NotPreserver, ``witness`` is a concrete unitary
+    whose image fails the unitary test by ``witness_defect``.  ``jordan``
+    holds the Størmer split of a rectangular map whose image of I passes:
+    multiplicities p, q, conjugator W and the residual that judged it.  ``w``
+    is retired, always None and hidden from the report (it equalled
+    ``v_right`` conjugate-transposed).  Fields that a given path never
+    computed keep their defaults: None, ``MapKind.NONE`` or False.
     """
 
     verdict: PreserverVerdict
@@ -91,6 +92,7 @@ class PreserverCertificate:
     transpose_flag: bool = False
     w: np.ndarray | None = field(default=None, metadata={"hidden": True})
     reconstruction_residual: float | None = None
+    residual_norm: str | None = None
     witness: np.ndarray | None = None
     witness_defect: float | None = None
     seed: int = field(kw_only=True)
@@ -230,7 +232,7 @@ def classify_preserver(
     u = polar_unitary(v)
     fit = read_off_split(phi.images_of_matrix_units(), u, tol)
     if n != m:
-        split = fit if fit.passed else StormerSplit(-1, -1, None, fit.residual)
+        split = fit if fit.passed else StormerSplit(-1, -1, None, fit.residual, fit.residual_norm)
         return PreserverCertificate(
             PreserverVerdict.INCONCLUSIVE, v, v_res, seed=seed, jordan=split, reason="theorem-scope"
         )
@@ -238,7 +240,8 @@ def classify_preserver(
         return reject("unitary-recovery-failed")
     kind = MapKind.COMMUTATIVE if n == 1 else MapKind.ANTI if fit.q else MapKind.HOM
     fields = dict(kind=kind, u_left=u @ fit.w, v_right=adjoint(fit.w),
-                  transpose_flag=fit.q == 1, reconstruction_residual=fit.residual)
+                  transpose_flag=fit.q == 1, reconstruction_residual=fit.residual,
+                  residual_norm=fit.residual_norm)
     if fit.passed:
         return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed=seed, **fields)
     return reject("reconstruction-mismatch", _pair_unitaries(n, fit.worst), **fields)

@@ -7,10 +7,12 @@ files must carry the vectorization convention literal; its absence is a
 parse error, which prevents silent convention mismatches with other
 tools.
 
-Input files are decoded with orjson, which parses a large matrix to the same
-doubles several times faster than ``json`` and rejects ``NaN``/``Infinity``,
-numbers beyond the float range and bytes that are not UTF-8.  Reports are
-written with ``json``, whose float text (``1e-07``, not ``1e-7``) they keep.
+Files are decoded and reports written with orjson, which parses a large
+matrix to the same doubles several times faster than ``json`` and rejects
+``NaN``/``Infinity``, numbers beyond the float range and bytes that are not
+UTF-8.  Its float text is the shortest (``1e-7``, ``1e16``), and it would write
+NaN as ``null``, so :func:`dump_json` refuses a non-finite number.  A residual
+is in the norm ``"frobenius"`` or ``"operator"`` its ``residual_norm`` names.
 
 Reports are written from their records by :func:`to_obj`, field by field in
 declaration order, so a field added to a record is reported with no edit
@@ -20,7 +22,8 @@ here; fields marked ``metadata={"hidden": True}`` are left out.
 from __future__ import annotations
 
 import dataclasses
-import json
+import gc
+import math
 import reprlib
 from enum import Enum
 from itertools import chain
@@ -57,15 +60,50 @@ class FormatError(ValueError):
 def load_json(path: str) -> Any:
     try:
         with open(path, "rb") as fh:
-            return orjson.loads(fh.read())
+            data = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # the lists of a decoded document form no cycle: a collection among them frees nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _finite(value: Any) -> bool:
+    """Whether a JSON value holds no NaN or infinity, read a level of the
+    nesting at a time, so the levels of a matrix's entries run at C speed."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            level = list(chain.from_iterable(level))
+            continue
+        if kinds == {float}:
+            return all(map(math.isfinite, level))
+        below = []
+        for x in level:
+            if isinstance(x, float) and not math.isfinite(x):
+                return False
+            if isinstance(x, dict):
+                below.extend(x.values())
+            elif isinstance(x, (list, tuple)):
+                below.extend(x)
+            elif isinstance(x, np.ndarray) and not np.isfinite(x).all():
+                return False
+        level = below
+    return True
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False)
+    if not _finite(obj):
+        raise ValueError("a report cannot hold a NaN or an infinity")
+    return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def save_json(path: str, obj: Any) -> None:

@@ -700,6 +700,57 @@ def test_bad_seed_or_samples_is_usage_error_before_reading_input(
     assert err.count("\n") == 1 and flag in err
 
 
+# the seeds each command takes: those a report can hold, [-2**63, 2**64)
+_SEED_RANGES = {"classify": (0, 2**64 - 1), "verify-identities": (0, 2**64 - 1), "make": (-(2**63), 2**64 - 1)}
+
+
+def _seed_argv(tmp_path, command, seed):
+    if command == "make":
+        return ["make", "--kind", "hom", "--n", "2", "--seed", str(seed)]
+    phi = generate(InstanceSpec(n=2, kind=InstanceKind.HOM_PRESERVER, seed=7))
+    return [command, write_superop(tmp_path, "in.json", phi), "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("command", list(_SEED_RANGES))
+@pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+def test_seed_beyond_what_a_report_holds_is_usage_error(tmp_path, capsys, command, end):
+    """One past either end of a command's seed range exits 64 with one
+    stderr line naming --seed, before the input (here missing) is read."""
+    seed = _SEED_RANGES[command][end] + (1 if end else -1)
+    argv = _seed_argv(tmp_path, command, seed)
+    if command != "make":
+        argv[1] = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "--seed" in err
+
+
+@pytest.mark.parametrize("command", list(_SEED_RANGES))
+@pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+def test_seed_at_either_end_of_its_range_is_reported(tmp_path, capsys, command, end):
+    seed = _SEED_RANGES[command][end]
+    code, obj, err = run_json(capsys, *_seed_argv(tmp_path, command, seed))
+    assert code == EXIT_OK, err
+    assert (obj["meta"]["instance"] if command == "make" else obj["run"])["seed"] == seed
+
+
+@pytest.mark.parametrize("columns, scale", [((7, 5), 1e154), ((7,), 1e300)], ids=["E23-E32-1e154", "E23-1e300"])
+def test_huge_miss_is_a_mismatch_not_an_overflow(tmp_path, capsys, columns, scale):
+    """Columns of a Hom map on M_3 scaled so far that the summed squared
+    misses overflow: the Frobenius gate fails and the SVD decides, so the
+    answer is a rejection with a finite operator-norm residual."""
+    phi = generate(InstanceSpec(n=3, kind=InstanceKind.HOM_PRESERVER, seed=2))
+    matrix = phi.matrix.copy()
+    matrix[:, list(columns)] *= scale  # column i + 3 j is E_ij: 7 is E_23, 5 is E_32
+    code, obj, err = run_json(capsys, "classify", write_superop(tmp_path, "big.json", SuperOperator(3, 3, matrix)))
+    assert code == EXIT_NEGATIVE, err
+    cert = obj["certificate"]
+    assert (cert["verdict"], cert["reason"]) == ("NotPreserver", "reconstruction-mismatch")
+    assert cert["residual_norm"] == "operator"
+    assert scale / 10 < cert["reconstruction_residual"] < math.inf
+
+
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
     """tol_eff = abs * sqrt(rows * cols) would overflow to inf at 1e308 on

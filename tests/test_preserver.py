@@ -376,6 +376,12 @@ def test_square_path_builds_no_superoperator(label, monkeypatch):
     assert calls == []
 
 
+def residual_in_its_norm(diff, norm):
+    """||diff||_F when a record names its residual Frobenius, else ||diff||."""
+    assert norm in ("frobenius", "operator")
+    return np.linalg.norm(diff) if norm == "frobenius" else operator_norm(diff)
+
+
 def mixture(n, rng, t):
     """A -> U (t A + (1 - t) A^tr) V with Haar U, V."""
     hom = from_left_right(haar_from_rng(n, rng), haar_from_rng(n, rng))
@@ -388,8 +394,10 @@ def mixture(n, rng, t):
 )
 def test_one_operator_norm_per_classify(kind, monkeypatch):
     """A square map builds one candidate: one read-off and, once its ranks
-    give a conjugator, one n^2 x n^2 SVD, whatever the verdict.  The read-off
-    of a trace pinching gives none, so it takes no SVD."""
+    give a conjugator, at most one n^2 x n^2 SVD, whatever the verdict.  An
+    exact preserver passes at its Frobenius residual and takes none; a
+    mixture fails there and takes one.  The read-off of a trace pinching
+    gives no conjugator, so it takes no SVD."""
     if kind == "pinch":
         phi = trace_pinch_map(5)
     elif kind == "mixture":
@@ -415,10 +423,16 @@ def test_one_operator_norm_per_classify(kind, monkeypatch):
     assert certified == (kind in (InstanceKind.HOM_PRESERVER, InstanceKind.ANTI_PRESERVER))
     if kind == "pinch":
         assert cert.reason == "unitary-recovery-failed"
+        assert cert.residual_norm is None
         assert calls == {"operator_norm": 0, "read_off": 1}
-    else:
-        assert cert.reason in ("", "reconstruction-mismatch")
+    elif kind == "mixture":
+        assert cert.reason == "reconstruction-mismatch"
+        assert cert.residual_norm == "operator"
         assert calls == {"operator_norm": 1, "read_off": 1}
+    else:
+        assert cert.reason == ""
+        assert cert.residual_norm == "frobenius"
+        assert calls == {"operator_norm": 0, "read_off": 1}
 
 
 @settings(max_examples=80, deadline=None)
@@ -432,10 +446,11 @@ def test_one_operator_norm_per_classify(kind, monkeypatch):
 @example(n=4, seed=2, t=0.0, log_d=-9.0)
 def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
     """On mixtures A -> U (t A + (1 - t) A^tr) V with one off-diagonal
-    column moved by d (so the image of I stays unitary), the certified rho
-    is the SVD residual of the factors the certificate names, and any form
-    whose candidate from ``recover_conjugating_unitary`` (the reference
-    oracle) passes the bound 2 sqrt(n) rho + n rho^2 is certified."""
+    column moved by d (so the image of I stays unitary), the certified
+    residual is that of the factors the certificate names, in the norm it
+    names, and any form whose candidate from ``recover_conjugating_unitary``
+    (the reference oracle) passes the bound 2 sqrt(n) rho + n rho^2 is
+    certified."""
     rng = np.random.default_rng(seed)
     i, j = rng.choice(n, size=2, replace=False)
     g = complex_gaussian(n * n, 1, rng)[:, 0]
@@ -446,7 +461,7 @@ def test_probe_picks_every_form_whose_bound_passes(n, seed, t, log_d):
         if cert.transpose_flag:
             rebuilt = rebuilt @ transpose_map(n).matrix
         assert cert.reconstruction_residual == pytest.approx(
-            operator_norm(phi.matrix - rebuilt), rel=1e-12, abs=1e-15
+            residual_in_its_norm(phi.matrix - rebuilt, cert.residual_norm), rel=1e-12, abs=1e-15
         )
     v = apply(phi, np.eye(n))
     for kind in (MapKind.HOM, MapKind.ANTI):
@@ -712,9 +727,9 @@ def scaled_embedding():
 
 @pytest.mark.parametrize("step", [0.0, 1e-9, 1e-8])
 def test_rectangular_residual_is_that_of_phi(step):
-    """The split's residual is rho = ||S_phi - polar(v) R||, not that of
-    psi = v* phi: moving the E_11 column leaves phi(I) = v inside the band
-    but not unitary, where the two differ."""
+    """The split's residual is that of S_phi - polar(v) R in the norm it
+    names, not that of psi = v* phi: moving the E_11 column leaves
+    phi(I) = v inside the band but not unitary, where the two differ."""
     phi = scaled_embedding()
     g = complex_gaussian(16, 1, np.random.default_rng(3))[:, 0]
     phi = moved_column(phi, 0, 0, step * g / np.linalg.norm(g))
@@ -722,7 +737,7 @@ def test_rectangular_residual_is_that_of_phi(step):
     assert cert.v_unitarity_residual <= DEFAULT_TOL.effective(4, 4)
     split = cert.jordan
     assert (split.p, split.q) == (1, 1)
-    rho = operator_norm(phi.matrix - rectangular_rebuild(phi, 1, 1, split.w))
+    rho = residual_in_its_norm(phi.matrix - rectangular_rebuild(phi, 1, 1, split.w), split.residual_norm)
     if step:
         assert split.residual == pytest.approx(rho, rel=1e-9, abs=0)
     else:

@@ -2,6 +2,7 @@
 compares equal entry by entry, with no tolerance.  Reports are written,
 never read back, so their tests check the JSON text the writers emit."""
 
+import gc
 import json
 from dataclasses import asdict, fields
 
@@ -13,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from unitball import serialize as ser
 from unitball.extremal import IsometryClass, StarAlgebraBasis, kadison_extreme_test
 from unitball.gen import InstanceKind, InstanceSpec, trace_pinch_map
+from unitball.jordan import StormerSplit
 from unitball.linalg import (
     Tolerance,
     complex_gaussian,
@@ -83,9 +85,10 @@ def test_integer_entries_parse_to_the_nearest_double(tmp_path_factory, ints):
     """An integer entry in a file reads as np.float64(int), the correctly
     rounded double, beyond 64 bits and at rounding ties too."""
     doc = {"rows": 1, "cols": len(ints) // 2, "entries": [[ints[k : k + 2] for k in range(0, len(ints), 2)]]}
-    path = str(tmp_path_factory.mktemp("ints") / "m.json")
-    ser.save_json(path, doc)
-    back = ser.matrix_from_obj(ser.load_json(path)).view(np.float64).ravel()
+    path = tmp_path_factory.mktemp("ints") / "m.json"
+    # json, not save_json: a report's writer takes no integer beyond 64 bits
+    path.write_text(json.dumps(doc))
+    back = ser.matrix_from_obj(ser.load_json(str(path))).view(np.float64).ravel()
     assert np.array_equal(back.view(np.int64), np.array([np.float64(x) for x in ints]).view(np.int64))
 
 
@@ -223,17 +226,18 @@ def test_extreme_report_round_trip():
 
 
 def test_rectangular_certificate_round_trip():
-    """The split of a rectangular map is emitted as p, q, W and its residual,
-    and the emitted W rebuilds the map with v = phi(I) on the left."""
+    """The split of a rectangular map is emitted as p, q, W, its residual and
+    the residual's norm, and the emitted W rebuilds the map with v = phi(I) on the left."""
     n, w0 = 2, haar_unitary(6, 23)
     phi = direct_sum_embedding([BlockKind.TRANSPOSE, BlockKind.ID, BlockKind.TRANSPOSE], w0)
     cert = classify_preserver(phi)
     obj = roundtrip(ser.to_obj(cert))
     assert (obj["verdict"], obj["reason"]) == ("Inconclusive", "theorem-scope")
     split = obj["jordan"]
-    assert sorted(split) == ["p", "q", "residual", "w"]
+    assert sorted(split) == ["p", "q", "residual", "residual_norm", "w"]
     assert (split["p"], split["q"]) == (cert.jordan.p, cert.jordan.q) == (1, 2)
     assert split["residual"] == cert.jordan.residual <= 1e-13
+    assert split["residual_norm"] == cert.jordan.residual_norm == "frobenius"
     w, v = ser.matrix_from_obj(split["w"]), ser.matrix_from_obj(obj["v"])
     assert np.array_equal(w, cert.jordan.w)
     rng = np.random.default_rng(8)
@@ -327,13 +331,14 @@ def test_to_obj_writes_each_record_in_field_order():
     # the report formats themselves, which a reordered field would change
     assert list(roundtrip(ser.to_obj(certs[0]))) == [
         "verdict", "v", "v_unitarity_residual", "jordan", "kind", "u_left", "v_right",
-        "transpose_flag", "reconstruction_residual", "witness", "witness_defect", "seed", "reason",
+        "transpose_flag", "reconstruction_residual", "residual_norm", "witness", "witness_defect",
+        "seed", "reason",
     ]
     assert list(roundtrip(ser.to_obj(records[4]))) == [
         "verdict", "defect_left", "defect_right", "is_partial_isometry", "kadison_residual",
         "margin", "witness_index",
     ]
-    assert list(roundtrip(ser.to_obj(certs[2]))["jordan"]) == ["p", "q", "w", "residual"]
+    assert list(roundtrip(ser.to_obj(certs[2]))["jordan"]) == ["p", "q", "w", "residual", "residual_norm"]
     hidden = {f"{type(r).__name__}.{f.name}" for r in records for f in fields(r) if f.metadata.get("hidden")}
     assert hidden == {
         "PreserverCertificate.w",
@@ -364,3 +369,96 @@ def test_save_and_load_files(tmp_path):
     a = complex_gaussian(3, 3, np.random.default_rng(8))
     ser.save_json(str(path), ser.matrix_to_obj(a))
     assert np.array_equal(ser.matrix_from_obj(ser.load_json(str(path))), a)
+
+
+# ------------------------------------------------------------ report writer
+
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def _bad_matrix(x):
+    obj = ser.matrix_to_obj(np.eye(2))
+    obj["entries"][1][0][1] = x
+    return {"certificate": {"v": obj}}
+
+
+@pytest.mark.parametrize("x", _NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("place", [
+    lambda x: {"jordan": ser.to_obj(StormerSplit(1, 0, None, x, "operator"))},
+    _bad_matrix,
+    lambda x: {"run": {"tolerance": {"abs": 1e-8}, "wall_time_s": x}},
+    lambda x: {"residuals": [0.5, [1.0, x]]},
+], ids=["record-field", "matrix-entry", "dict-value", "list-value"])
+def test_dump_json_refuses_a_non_finite_number(place, x):
+    """orjson would write NaN and the infinities as null; the writer refuses
+    them wherever they sit, as json's allow_nan=False did."""
+    with pytest.raises(ValueError):
+        ser.dump_json(place(x))
+
+
+def _certificates_of_every_reason():
+    n = 3
+    hom = from_left_right(haar_unitary(n, 5), haar_unitary(n, 6))
+    d = np.sqrt(1.0 + 3.0 * Tolerance().effective(n, n)) - 1.0
+    maps = [
+        hom,
+        SuperOperator(n, n, 2 * identity_map(n).matrix),
+        SuperOperator(n, n, (1.0 + d) * hom.matrix),
+        SuperOperator(n, n, (hom.matrix + compose(hom, transpose_map(n)).matrix) / 2),
+        trace_pinch_map(n),
+        direct_sum_embedding([BlockKind.ID, BlockKind.TRANSPOSE], haar_unitary(2 * n, 23)),
+    ]
+    return [classify_preserver(phi, seed=4) for phi in maps]
+
+
+def test_report_text_parses_as_jsons_would():
+    """Every report parses to the value stdlib json's text of it parses to:
+    a certificate of every reason, an extreme report and the run info."""
+    certs = _certificates_of_every_reason()
+    assert [c.reason for c in certs] == [
+        "", "image-of-identity-not-unitary", "image-of-identity-in-band",
+        "reconstruction-mismatch", "unitary-recovery-failed", "theorem-scope",
+    ]
+    reports = [{"certificate": ser.to_obj(c), "run": ser.run_info(Tolerance(), 2**64 - 1, 0.25)} for c in certs]
+    reports.append({"report": ser.to_obj(kadison_extreme_test(matrix_unit(3, 0, 0), StarAlgebraBasis.full(3)))})
+    for report in reports:
+        assert json.loads(ser.dump_json(report)) == json.loads(json.dumps(report, allow_nan=False))
+
+
+def test_report_floats_are_shortest_text():
+    assert ser.dump_json({"a": 1e-7, "b": 1e16, "c": -0.0}) == '{\n  "a": 1e-7,\n  "b": 1e16,\n  "c": -0.0\n}'
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_load_json_restores_the_callers_gc_state(tmp_path, caller_enabled):
+    """The collector is paused while a file decodes, and the caller's state
+    is back afterwards, for a good file, a malformed one and a missing one."""
+    good, cut = tmp_path / "good.json", tmp_path / "cut.json"
+    good.write_text('{"rows": 1, "cols": 1, "entries": [[[1.0, 0.0]]]}')
+    cut.write_text('{"rows": 1, "cols"')
+    was = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        assert ser.load_json(str(good))["rows"] == 1
+        assert gc.isenabled() is caller_enabled
+        for path in (cut, tmp_path / "absent.json"):
+            with pytest.raises(ser.FormatError):
+                ser.load_json(str(path))
+            assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_load_json_pauses_the_gc_while_decoding(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_text("[1]")
+    seen = []
+
+    def loads(data):
+        seen.append(gc.isenabled())
+        return json.loads(data)
+
+    monkeypatch.setattr(ser.orjson, "loads", loads)
+    assert ser.load_json(str(path)) == [1]
+    assert seen == [False] and gc.isenabled()
