@@ -70,15 +70,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_in(low: int, high: int = 2**64 - 1):
-    """argparse type for an integer in [low, high], so that a bad ``--seed``
-    or ``--samples`` is a usage error before any input is read.  A report
-    holds no integer from 2**64 up, which its writer (orjson) cannot write."""
+# a report holds no integer from 2**64 up, which its writer (orjson) cannot write
+_REPORT_INT_MAX = 2**64 - 1
+
+
+def _int_in(low: int):
+    """argparse type for an integer in [low, _REPORT_INT_MAX], so that a bad
+    ``--seed``, ``--samples``, ``--p`` or ``--q`` is a usage error before any
+    input is read."""
 
     def integer(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if not low <= value <= high:
-            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {high}], got {value}")
+        if not low <= value <= _REPORT_INT_MAX:
+            raise argparse.ArgumentTypeError(f"expected an integer in [{low}, {_REPORT_INT_MAX}], got {value}")
         return value
 
     return integer
@@ -102,12 +106,12 @@ def _emit(report_obj: dict, summary: str, code: int) -> int:
 
 
 def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
-    a = ser.matrix_from_obj(ser.load_json(args.matrix))
+    a = ser.read_json(args.matrix, ser.matrix_from_obj)
     rows, cols = a.shape
     if args.algebra == "full":
         basis = StarAlgebraBasis.full(rows)
     else:
-        _, elems = ser.algebra_elements_from_obj(ser.load_json(args.algebra))
+        _, elems = ser.read_json(args.algebra, ser.algebra_elements_from_obj)
         try:
             basis = StarAlgebraBasis(elems, tol)
         except ValueError as exc:
@@ -126,14 +130,14 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
 
 
 def _cmd_classify(args, tol: Tolerance) -> tuple[dict, str, str]:
-    phi = ser.superop_from_obj(ser.load_json(args.superop))
+    phi = ser.read_json(args.superop, ser.superop_from_obj)
     cert = classify_preserver(phi, tol, seed=args.seed)
     report = {"certificate": ser.to_obj(cert)}
     return report, cert.verdict.value, cert.reason or f"kind {cert.kind.value}"
 
 
 def _cmd_verify_identities(args, tol: Tolerance) -> tuple[dict, str, str]:
-    phi = ser.superop_from_obj(ser.load_json(args.superop))
+    phi = ser.read_json(args.superop, ser.superop_from_obj)
 
     if not phi.is_square:
         report = {"verdict": "Inconclusive", "reason": "theorem-scope"}
@@ -206,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make", help="generate an instance and write it as a superoperator file")
     p.add_argument("--kind", required=True, choices=[k.value for k in InstanceKind])
     p.add_argument("--n", type=int, required=True, help="base matrix dimension")
-    p.add_argument("--p", type=int, default=0, help="identity-block multiplicity (mixed kind)")
-    p.add_argument("--q", type=int, default=0, help="transpose-block multiplicity (mixed kind)")
+    p.add_argument("--p", type=_int_in(0), default=0, help="identity-block multiplicity (mixed kind)")
+    p.add_argument("--q", type=_int_in(0), default=0, help="transpose-block multiplicity (mixed kind)")
     p.add_argument("--epsilon", type=float, default=0.0, help="perturbation size (perturbed kind)")
     p.add_argument("--seed", type=_int_in(-(2**63)), default=0)
     p.add_argument("--out", help="output path (default: write the file to stdout)")

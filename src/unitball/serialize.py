@@ -27,7 +27,7 @@ import math
 import reprlib
 from enum import Enum
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import orjson
@@ -45,6 +45,7 @@ __all__ = [
     "algebra_elements_from_obj",
     "to_obj",
     "load_json",
+    "read_json",
     "save_json",
     "dump_json",
     "run_info",
@@ -63,40 +64,37 @@ def load_json(path: str) -> Any:
             data = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    # the lists of a decoded document form no cycle: a collection among them frees nothing
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the document in the JSON file at ``path``, decoded and
+    parsed with the cyclic garbage collector paused.  The lists of a decoded
+    document form no cycle, and it is freed before the collector is back, so
+    no collection scans it.  The caller's collector state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return parse(load_json(path))
     finally:
         if enabled:
             gc.enable()
 
 
 def _finite(value: Any) -> bool:
-    """Whether a JSON value holds no NaN or infinity, read a level of the
-    nesting at a time, so the levels of a matrix's entries run at C speed."""
-    level = [value]
-    while level:
-        kinds = set(map(type, level))
-        if kinds == {list}:
-            level = list(chain.from_iterable(level))
-            continue
-        if kinds == {float}:
-            return all(map(math.isfinite, level))
-        below = []
-        for x in level:
-            if isinstance(x, float) and not math.isfinite(x):
-                return False
-            if isinstance(x, dict):
-                below.extend(x.values())
-            elif isinstance(x, (list, tuple)):
-                below.extend(x)
-            elif isinstance(x, np.ndarray) and not np.isfinite(x).all():
-                return False
-        level = below
+    """Whether a JSON value holds no NaN or infinity."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return True
+    for x in value:
+        if not _finite(x):
+            return False
     return True
 
 

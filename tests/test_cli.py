@@ -700,39 +700,48 @@ def test_bad_seed_or_samples_is_usage_error_before_reading_input(
     assert err.count("\n") == 1 and flag in err
 
 
-# the seeds each command takes: those a report can hold, [-2**63, 2**64)
-_SEED_RANGES = {"classify": (0, 2**64 - 1), "verify-identities": (0, 2**64 - 1), "make": (-(2**63), 2**64 - 1)}
+# the integers each flag takes: those a report can hold, [-2**63, 2**64)
+_INT_RANGES = {
+    "classify --seed": (0, 2**64 - 1),
+    "verify-identities --seed": (0, 2**64 - 1),
+    "make --seed": (-(2**63), 2**64 - 1),
+    # a hom instance has no blocks: p and q are only copied into the report
+    "make --p": (0, 2**64 - 1),
+    "make --q": (0, 2**64 - 1),
+}
 
 
-def _seed_argv(tmp_path, command, seed):
+def _int_argv(tmp_path, key, value):
+    command, flag = key.split()
     if command == "make":
-        return ["make", "--kind", "hom", "--n", "2", "--seed", str(seed)]
+        return ["make", "--kind", "hom", "--n", "2", flag, str(value)]
     phi = generate(InstanceSpec(n=2, kind=InstanceKind.HOM_PRESERVER, seed=7))
-    return [command, write_superop(tmp_path, "in.json", phi), "--seed", str(seed)]
+    return [command, write_superop(tmp_path, "in.json", phi), flag, str(value)]
 
 
-@pytest.mark.parametrize("command", list(_SEED_RANGES))
+@pytest.mark.parametrize("key", list(_INT_RANGES))
 @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
-def test_seed_beyond_what_a_report_holds_is_usage_error(tmp_path, capsys, command, end):
-    """One past either end of a command's seed range exits 64 with one
-    stderr line naming --seed, before the input (here missing) is read."""
-    seed = _SEED_RANGES[command][end] + (1 if end else -1)
-    argv = _seed_argv(tmp_path, command, seed)
-    if command != "make":
+def test_integer_beyond_what_a_report_holds_is_usage_error(tmp_path, capsys, key, end):
+    """One past either end of a flag's range exits 64 with one stderr line
+    naming the flag, before the input (here missing) is read."""
+    value = _INT_RANGES[key][end] + (1 if end else -1)
+    argv = _int_argv(tmp_path, key, value)
+    if argv[0] != "make":
         argv[1] = str(tmp_path / "missing.json")
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.count("\n") == 1 and "--seed" in err
+    assert err.count("\n") == 1 and key.split()[1] in err
 
 
-@pytest.mark.parametrize("command", list(_SEED_RANGES))
+@pytest.mark.parametrize("key", list(_INT_RANGES))
 @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
-def test_seed_at_either_end_of_its_range_is_reported(tmp_path, capsys, command, end):
-    seed = _SEED_RANGES[command][end]
-    code, obj, err = run_json(capsys, *_seed_argv(tmp_path, command, seed))
+def test_integer_at_either_end_of_its_range_is_reported(tmp_path, capsys, key, end):
+    value = _INT_RANGES[key][end]
+    code, obj, err = run_json(capsys, *_int_argv(tmp_path, key, value))
     assert code == EXIT_OK, err
-    assert (obj["meta"]["instance"] if command == "make" else obj["run"])["seed"] == seed
+    command, flag = key.split()
+    assert (obj["meta"]["instance"] if command == "make" else obj["run"])[flag[2:]] == value
 
 
 @pytest.mark.parametrize("columns, scale", [((7, 5), 1e154), ((7,), 1e300)], ids=["E23-E32-1e154", "E23-1e300"])

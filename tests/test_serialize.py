@@ -431,26 +431,28 @@ def test_report_floats_are_shortest_text():
 
 
 @pytest.mark.parametrize("caller_enabled", [True, False])
-def test_load_json_restores_the_callers_gc_state(tmp_path, caller_enabled):
-    """The collector is paused while a file decodes, and the caller's state
-    is back afterwards, for a good file, a malformed one and a missing one."""
+def test_read_json_restores_the_callers_gc_state(tmp_path, caller_enabled):
+    """The collector is paused while a file decodes and parses, and the
+    caller's state is back afterwards, for a good file, a malformed one, a
+    missing one and a document its parser refuses."""
     good, cut = tmp_path / "good.json", tmp_path / "cut.json"
     good.write_text('{"rows": 1, "cols": 1, "entries": [[[1.0, 0.0]]]}')
     cut.write_text('{"rows": 1, "cols"')
     was = gc.isenabled()
     try:
         gc.enable() if caller_enabled else gc.disable()
-        assert ser.load_json(str(good))["rows"] == 1
+        assert ser.read_json(str(good), ser.matrix_from_obj).shape == (1, 1)
         assert gc.isenabled() is caller_enabled
-        for path in (cut, tmp_path / "absent.json"):
+        for path, parse in [(cut, ser.matrix_from_obj), (tmp_path / "absent.json", ser.matrix_from_obj),
+                            (good, ser.superop_from_obj)]:
             with pytest.raises(ser.FormatError):
-                ser.load_json(str(path))
+                ser.read_json(str(path), parse)
             assert gc.isenabled() is caller_enabled
     finally:
         gc.enable() if was else gc.disable()
 
 
-def test_load_json_pauses_the_gc_while_decoding(tmp_path, monkeypatch):
+def test_read_json_pauses_the_gc_while_decoding_and_parsing(tmp_path, monkeypatch):
     path = tmp_path / "m.json"
     path.write_text("[1]")
     seen = []
@@ -459,6 +461,33 @@ def test_load_json_pauses_the_gc_while_decoding(tmp_path, monkeypatch):
         seen.append(gc.isenabled())
         return json.loads(data)
 
+    def parse(doc):
+        seen.append(gc.isenabled())
+        return doc
+
     monkeypatch.setattr(ser.orjson, "loads", loads)
-    assert ser.load_json(str(path)) == [1]
-    assert seen == [False] and gc.isenabled()
+    assert ser.read_json(str(path), parse) == [1]
+    assert seen == [False, False] and gc.isenabled()
+
+
+def test_read_json_leaves_no_collection_behind(tmp_path):
+    """The decoded document is freed before the collector is back, so the
+    young generation holds none of its lists and no collection runs, neither
+    during the read nor at the allocations after it."""
+    path = tmp_path / "m.json"
+    ser.save_json(str(path), ser.matrix_to_obj(np.ones((40, 40))))  # 1,641 lists once decoded
+    collections = []
+
+    def note(phase, info):
+        collections.append(phase)
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        ser.read_json(str(path), ser.matrix_from_obj)
+        young = gc.get_count()[0]
+        after = [[] for _ in range(100)]
+    finally:
+        gc.callbacks.remove(note)
+    assert len(after) == 100
+    assert young < 1641 and collections == []
