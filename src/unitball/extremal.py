@@ -10,7 +10,6 @@ that witness non-extremeness of contractions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -20,9 +19,9 @@ from .linalg import (
     DEFAULT_TOL,
     Band,
     Tolerance,
+    as_matrices,
     as_matrix,
     hermitian_part,
-    matrix_unit,
     operator_norm,
 )
 
@@ -52,30 +51,17 @@ class ExtremeVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-class _MatrixUnits(Sequence):
-    """Read-only sequence of the n^2 matrix units of M_n, built on access."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n * self.n
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        i, j = divmod(range(self.n * self.n)[k], self.n)
-        return matrix_unit(self.n, i, j)
-
-
 class StarAlgebraBasis:
-    """A finite list of n x n matrices spanning a *-subalgebra of M_n.
+    """A (k, n, n) stack of matrices spanning a *-subalgebra of M_n.
 
     On construction (unless built by :meth:`full`, which is exact) the span
     is checked to be closed under adjoints and pairwise products and to
     contain the identity, all within tolerance, in that order.  Complex
-    bases are accepted.  The k elements are kept as one read-only (k, n, n)
-    array in ``elements``.  Elements of Frobenius norm at most tol_eff count
-    as zero; the rest are scaled to unit norm before the SVD that finds the
-    r orthonormal rows of their span, so elements of any relative scale are
+    bases are accepted, and so is any sequence of matrices that numpy
+    stacks.  The basis keeps its own read-only complex128 copy of the stack
+    in ``elements``.  Elements of Frobenius norm at most tol_eff count as
+    zero; the rest are scaled to unit norm before the SVD that finds the r
+    orthonormal rows of their span, so elements of any relative scale are
     resolved.  Closure is checked on those rows: their adjoints as one
     (r, n^2) block, their r^2 products as one such block per right factor,
     then the identity, each projected onto the span.  When every element
@@ -86,29 +72,21 @@ class StarAlgebraBasis:
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
-        elems = [as_matrix(e) for e in elements]
-        if not elems:
-            raise ValueError("basis needs at least one element")
-        n = elems[0].shape[0]
-        for e in elems:
-            if e.shape != (n, n):
-                raise ValueError(f"all elements must be {n}x{n}, got {e.shape}")
-        self.n = n
-        self.elements: Sequence[np.ndarray] = np.array(elems)
-        self.elements.flags.writeable = False
-        self.is_full = False
+        elems = as_matrices(np.array(elements, dtype=np.complex128))
+        if elems.ndim != 3 or not len(elems) or elems.shape[1] != elems.shape[2]:
+            raise ValueError(f"basis needs a non-empty stack of square matrices, got shape {elems.shape}")
+        elems.flags.writeable = False
+        self.n, self.elements, self.is_full = elems.shape[1], elems, False
         self._validate(tol)
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebraBasis":
-        """The matrix-unit basis of all of M_n (element E_ij at index i*n+j).
-
-        The units are produced on access, so the basis costs no memory.
-        """
+        """The matrix-unit basis of all of M_n (E_ij at index i*n + j); it holds
+        no elements, as :func:`kadison_extreme_test` needs none to read it."""
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         basis = cls.__new__(cls)
-        basis.n, basis.elements, basis.is_full = n, _MatrixUnits(n), True
+        basis.n, basis.elements, basis.is_full = n, None, True
         return basis
 
     def _validate(self, tol: Tolerance) -> None:

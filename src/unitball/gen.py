@@ -8,6 +8,7 @@ reordering and re-slicing.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -88,6 +89,8 @@ def generate(spec: InstanceSpec) -> SuperOperator:
         base = from_left_right(haar_unitary(n, derive_seed(s, "u")), haar_unitary(n, derive_seed(s, "v")))
         return compose(base, transpose_map(n))
     if kind is InstanceKind.MIXED_JORDAN:
+        if spec.p + spec.q > sys.maxsize:  # more blocks than a list can index
+            raise MemoryError(f"{spec.p + spec.q} blocks cannot be held")
         kinds = [BlockKind.ID] * spec.p + [BlockKind.TRANSPOSE] * spec.q
         w = haar_unitary(n * (spec.p + spec.q), derive_seed(s, "w"))
         return direct_sum_embedding(kinds, w)

@@ -134,7 +134,8 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     }
 
 
-def matrix_from_obj(obj: Any) -> np.ndarray:
+def _matrix_header(obj: Any) -> tuple[int, int, list]:
+    """The rows, cols and list of rows of entries of a matrix document."""
     rows = _as_int(_require(obj, "rows", "matrix"), "matrix.rows")
     cols = _as_int(_require(obj, "cols", "matrix"), "matrix.cols")
     entries = _require(obj, "entries", "matrix")
@@ -142,6 +143,17 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
         raise FormatError(f"matrix: dimensions must be positive, got {rows}x{cols}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise FormatError(f"matrix: expected {rows} rows of entries")
+    return rows, cols, entries
+
+
+def matrix_from_obj(obj: Any) -> np.ndarray:
+    _, cols, entries = _matrix_header(obj)
+    return _parse_entries(entries, cols)
+
+
+def _parse_entries(entries: list, cols: int) -> np.ndarray:
+    """The complex (len(entries), cols) matrix of a non-empty list of JSON
+    rows of [re, im] pairs."""
     # Shape and type checks run over whole levels of the nesting at C speed;
     # numpy alone would accept bools and numeric strings.
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {cols}:
@@ -159,7 +171,7 @@ def matrix_from_obj(obj: Any) -> np.ndarray:
         raise FormatError(f"matrix: entry out of range: {exc}") from exc
     if not np.isfinite(parts).all():
         raise FormatError("matrix: non-finite entry")
-    return parts.view(np.complex128).reshape(rows, cols)
+    return parts.view(np.complex128).reshape(len(entries), cols)
 
 
 def superop_to_obj(phi: SuperOperator) -> dict:
@@ -190,17 +202,21 @@ def superop_from_obj(obj: Any) -> SuperOperator:
     return SuperOperator(dim_in, dim_out, matrix)
 
 
-def algebra_elements_from_obj(obj: Any) -> tuple[int, list[np.ndarray]]:
-    """Parse an algebra-basis document: {"n": ..., "elements": [matrix, ...]}."""
+def algebra_elements_from_obj(obj: Any) -> tuple[int, np.ndarray]:
+    """Parse an algebra-basis document, {"n": ..., "elements": [matrix, ...]},
+    to n and the (k, n, n) stack of its elements.  Each element's header is
+    checked, then the entries of all elements are parsed as one matrix."""
     n = _as_int(_require(obj, "n", "algebra"), "algebra.n")
     raw = _require(obj, "elements", "algebra")
     if not isinstance(raw, list) or not raw:
         raise FormatError("algebra: elements must be a non-empty list")
-    elems = [matrix_from_obj(e) for e in raw]
-    for e in elems:
-        if e.shape != (n, n):
-            raise FormatError(f"algebra: element shape {e.shape} does not match n={n}")
-    return n, elems
+    entries = []
+    for e in raw:
+        rows, cols, element_entries = _matrix_header(e)
+        if (rows, cols) != (n, n):
+            raise FormatError(f"algebra: element shape {(rows, cols)} does not match n={n}")
+        entries += element_entries
+    return n, _parse_entries(entries, n).reshape(len(raw), n, n)
 
 
 def to_obj(record: Any) -> Any:

@@ -744,6 +744,20 @@ def test_integer_at_either_end_of_its_range_is_reported(tmp_path, capsys, key, e
     assert (obj["meta"]["instance"] if command == "make" else obj["run"])[flag[2:]] == value
 
 
+@pytest.mark.parametrize("blocks", [
+    ("--p", 2**63 - 1), ("--p", 2**63), ("--p", 2**64 - 1), ("--q", 2**63), ("--q", 2**64 - 1),
+    ("--p", 2**62, "--q", 2**62),
+], ids=["p-2^63-1", "p-2^63", "p-2^64-1", "q-2^63", "q-2^64-1", "p-q-2^62"])
+def test_more_blocks_than_memory_holds_is_out_of_memory(capsys, blocks):
+    """A mixed instance with p + q from 2**63 - 1 up to the top of the
+    --p/--q range cannot be built: one "out of memory" line and exit 2,
+    whether or not p + q still fits an index."""
+    code, out, err = run(capsys, "make", "--kind", "mixed", "--n", "1", *map(str, blocks))
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.count("\n") == 1 and "out of memory" in err
+
+
 @pytest.mark.parametrize("columns, scale", [((7, 5), 1e154), ((7,), 1e300)], ids=["E23-E32-1e154", "E23-1e300"])
 def test_huge_miss_is_a_mismatch_not_an_overflow(tmp_path, capsys, columns, scale):
     """Columns of a Hom map on M_3 scaled so far that the summed squared

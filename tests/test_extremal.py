@@ -33,12 +33,18 @@ from unitball.linalg import (
 )
 
 
-def kadison_residual_by_loop(w, basis):
+def kadison_residual_by_loop(w, elements):
     """Independent oracle: the defining max over explicit triple products."""
     n = w.shape[0]
     dl = np.eye(n) - w.conj().T @ w
     dr = np.eye(n) - w @ w.conj().T
-    return max(operator_norm(dl @ b @ dr) for b in basis.elements)
+    return max(operator_norm(dl @ b @ dr) for b in elements)
+
+
+def full_units(n):
+    """The matrix units of M_n in the order of StarAlgebraBasis.full(n):
+    E_ij at index i*n + j."""
+    return [matrix_unit(n, i, j) for i in range(n) for j in range(n)]
 
 
 def closure_failure_by_pairs(elements, tol=DEFAULT_TOL):
@@ -151,24 +157,24 @@ def test_classify_haar_is_unitary():
 
 
 def test_full_basis_layout():
+    """w = E_11 + E_23 in M_3 has the defects I - w*w = E_22 and
+    I - ww* = E_33, so the one unit with a nonzero residual is E_23, which
+    the full basis holds at index i*n + j = 5 (j*n + i would be 7)."""
     basis = StarAlgebraBasis.full(3)
-    assert basis.n == 3 and basis.is_full and len(basis.elements) == 9
-    # element at index i*n + j is E_ij
-    assert np.array_equal(basis.elements[5], matrix_unit(3, 1, 2))
+    assert basis.n == 3 and basis.is_full and basis.elements is None
+    rep = kadison_extreme_test(matrix_unit(3, 0, 0) + matrix_unit(3, 1, 2), basis)
+    assert rep.witness_index == 5
+    assert np.array_equal(full_units(3)[5], matrix_unit(3, 1, 2))
 
 
-def test_full_basis_builds_units_on_access():
+def test_full_basis_costs_no_memory():
     tracemalloc.start()
     try:
-        basis = StarAlgebraBasis.full(32)
+        StarAlgebraBasis.full(32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**16  # the 1024 dense units would take 16 MiB
-    assert len(basis.elements) == 32 * 32
-    assert np.array_equal(basis.elements[-1], matrix_unit(32, 31, 31))
-    with pytest.raises(IndexError):
-        basis.elements[32 * 32]
 
 
 def test_diagonal_subalgebra_validates():
@@ -230,6 +236,33 @@ def test_basis_keeps_elements_as_one_stack():
     basis = StarAlgebraBasis(units)
     assert basis.elements.shape == (5, 3, 3)
     assert all(np.array_equal(b, e) for b, e in zip(basis.elements, units))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_basis_owns_its_stack(dtype):
+    """The basis copies the caller's (k, n, n) array: writing to that array
+    afterwards leaves ``elements`` as it was, and ``elements`` is read-only."""
+    stack = np.array(block_units((1, 2))).real.astype(dtype)
+    before = stack.copy()
+    basis = StarAlgebraBasis(stack)
+    stack[:] = 7.0
+    assert np.array_equal(basis.elements, before)
+    assert basis.elements.dtype == np.complex128
+    assert not basis.elements.flags.writeable
+
+
+@pytest.mark.parametrize("elements, message", [
+    ([], "got ndim=1"),
+    (np.zeros((0, 2, 2)), "non-empty stack"),
+    (np.eye(2), "non-empty stack"),
+    (np.ones((2, 2, 3)), "square matrices"),
+    ([[np.eye(2)]], "got ndim=4"),
+    ([np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]])], "non-finite"),
+    ([np.eye(2), [["x", 0], [0, 1]]], None),  # numpy's own message
+], ids=["empty-list", "empty-stack", "one-matrix", "non-square", "4-d", "nan", "text"])
+def test_basis_rejects_what_is_no_stack_of_square_matrices(elements, message):
+    with pytest.raises(ValueError, match=message):
+        StarAlgebraBasis(elements)
 
 
 def test_complex_commutative_subalgebra_validates():
@@ -459,14 +492,14 @@ def test_matrix_unit_not_extreme_with_unit_residual():
     assert rep.is_partial_isometry
     assert rep.kadison_residual == pytest.approx(1.0, abs=1e-14)
     assert rep.witness_index == 3
-    assert np.array_equal(basis.elements[rep.witness_index], matrix_unit(2, 1, 1))
+    assert np.array_equal(full_units(2)[rep.witness_index], matrix_unit(2, 1, 1))
 
 
 def test_witness_is_honest():
     basis = StarAlgebraBasis.full(3)
     w = matrix_unit(3, 0, 0)
     rep = kadison_extreme_test(w, basis)
-    b = basis.elements[rep.witness_index]
+    b = full_units(3)[rep.witness_index]
     dl = np.eye(3) - w.conj().T @ w
     dr = np.eye(3) - w @ w.conj().T
     assert operator_norm(dl @ b @ dr) == pytest.approx(rep.kadison_residual, abs=1e-13)
@@ -490,7 +523,7 @@ def test_fast_path_matches_loop_oracle(seed):
     w = partial_isometry(n, 2, rng) if seed % 2 else complex_gaussian(n, n, rng) / 3
     rep = kadison_extreme_test(w, StarAlgebraBasis.full(n))
     assert rep.kadison_residual == pytest.approx(
-        kadison_residual_by_loop(w, StarAlgebraBasis.full(n)), abs=1e-12
+        kadison_residual_by_loop(w, full_units(n)), abs=1e-12
     )
 
 
@@ -516,7 +549,7 @@ def test_subalgebra_residual_matches_loop_oracle():
         w[lo:lo + len(part), lo:lo + len(part)] = part
     rep = kadison_extreme_test(u @ w @ u.conj().T, basis)
     assert rep.verdict is ExtremeVerdict.NOT_EXTREME
-    oracle = kadison_residual_by_loop(u @ w @ u.conj().T, basis)
+    oracle = kadison_residual_by_loop(u @ w @ u.conj().T, basis.elements)
     assert rep.kadison_residual == pytest.approx(oracle, abs=1e-12)
     assert 4 <= rep.witness_index < 8  # a unit of the deficient 2x2 block
 
@@ -551,7 +584,7 @@ def direct_extreme_scores(w, tol=DEFAULT_TOL):
 
     wh = w.conj().T
     pi_defect = operator_norm(w @ wh @ w - w)
-    score = max(pi_defect, kadison_residual_by_loop(w, StarAlgebraBasis.full(n)))
+    score = max(pi_defect, kadison_residual_by_loop(w, full_units(n)))
     verdict = {
         Band.PASS: ExtremeVerdict.EXTREME,
         Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,

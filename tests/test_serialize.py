@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unitball import serialize as ser
+from unitball import cli, serialize as ser
 from unitball.extremal import IsometryClass, StarAlgebraBasis, kadison_extreme_test
 from unitball.gen import InstanceKind, InstanceSpec, trace_pinch_map
 from unitball.jordan import StormerSplit
@@ -192,18 +192,57 @@ def test_superop_ignores_extra_metadata():
 
 
 def test_algebra_document_parses():
-    obj = {"n": 2, "elements": [ser.matrix_to_obj(matrix_unit(2, i, i)) for i in range(2)]}
+    units = [matrix_unit(2, i, i) for i in range(2)]
+    obj = {"n": 2, "elements": [ser.matrix_to_obj(e) for e in units]}
     n, elems = ser.algebra_elements_from_obj(roundtrip(obj))
-    assert n == 2 and len(elems) == 2
+    assert n == 2 and elems.shape == (2, 2, 2) and elems.dtype == np.complex128
+    assert np.array_equal(elems, units)
     StarAlgebraBasis(elems)  # validates as a *-algebra
 
 
-def test_algebra_document_shape_mismatch():
-    obj = {"n": 3, "elements": [ser.matrix_to_obj(np.eye(2))]}
-    with pytest.raises(ser.FormatError):
-        ser.algebra_elements_from_obj(obj)
-    with pytest.raises(ser.FormatError):
-        ser.algebra_elements_from_obj({"n": 2, "elements": []})
+def _set(path, value):
+    """A breakage that sets the item at ``path`` of a document to ``value``."""
+
+    def breakage(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return breakage
+
+
+# each breaks a valid two-element document on M_2 in one way, in its second
+# element where the fault is an element's
+_ALGEBRA_BREAKAGES = {
+    "other-shape": _set(("elements", 1), ser.matrix_to_obj(np.eye(3))),
+    "no-elements": _set(("elements",), []),
+    "bool-entry": _set(("elements", 1, "entries", 0, 1, 0), True),
+    "numeric-string": _set(("elements", 1, "entries", 1, 1, 1), "1.0"),
+    "ragged-row": _set(("elements", 1, "entries", 1), [[0.0, 0.0]]),
+    "3-long-pair": _set(("elements", 1, "entries", 0, 0), [0.0, 0.0, 0.0]),
+    "out-of-range": _set(("elements", 1, "entries", 1, 0, 0), 10**400),
+    "rows-not-n": _set(("elements", 1, "rows"), 3),
+    "cols-not-n": _set(("elements", 1, "cols"), 1),
+    "n-zero": _set(("n",), 0),
+    "entries-not-a-list": _set(("elements", 1, "entries"), {"0": [[0.0, 0.0], [0.0, 0.0]]}),
+}
+
+
+def test_algebra_document_shape_mismatch(tmp_path, capsys):
+    """A document broken in any one way is refused by the parser, and
+    ``check-extreme --algebra`` exits 65 on it with one stderr line."""
+    mpath, apath = tmp_path / "w.json", tmp_path / "algebra.json"
+    ser.save_json(str(mpath), ser.matrix_to_obj(np.eye(2)))
+    for name, breakage in _ALGEBRA_BREAKAGES.items():
+        doc = {"n": 2, "elements": [ser.matrix_to_obj(np.eye(2)), ser.matrix_to_obj(matrix_unit(2, 1, 1))]}
+        breakage(doc)
+        with pytest.raises(ser.FormatError):
+            ser.algebra_elements_from_obj(doc)
+        apath.write_text(json.dumps(doc))
+        assert cli.main(["check-extreme", str(mpath), "--algebra", str(apath)]) == 65, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, name
 
 
 # ------------------------------------------------------------------ reports
