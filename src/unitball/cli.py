@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{parser.prog}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except MemoryError as exc:
-        print(f"{parser.prog}: out of memory: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

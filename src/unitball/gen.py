@@ -20,10 +20,9 @@ from .preserver import perturb
 from .superop import (
     BlockKind,
     SuperOperator,
-    compose,
     direct_sum_embedding,
     from_left_right,
-    transpose_map,
+    transpose_index,
     vec,
 )
 
@@ -57,8 +56,8 @@ class InstanceSpec:
             raise ValueError("block multiplicities must be nonnegative")
         if self.kind is InstanceKind.MIXED_JORDAN and self.p + self.q < 1:
             raise ValueError("mixed instance needs at least one block")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
 
 
 def derive_seed(*parts) -> int:
@@ -83,16 +82,19 @@ def generate(spec: InstanceSpec) -> SuperOperator:
     """Build the map labelled by ``spec``, deterministically in its seed."""
     n, s = spec.n, spec.seed
     kind = spec.kind
-    if kind is InstanceKind.HOM_PRESERVER:
-        return from_left_right(haar_unitary(n, derive_seed(s, "u")), haar_unitary(n, derive_seed(s, "v")))
-    if kind is InstanceKind.ANTI_PRESERVER:
+    m = n * (spec.p + spec.q) if kind is InstanceKind.MIXED_JORDAN else n
+    # numpy makes no array of more than sys.maxsize bytes
+    if 16 * (n * m) ** 2 > sys.maxsize:
+        raise MemoryError(f"the {m * m} x {n * n} complex matrix needs {16 * (n * m) ** 2} bytes")
+    if kind in (InstanceKind.HOM_PRESERVER, InstanceKind.ANTI_PRESERVER):
         base = from_left_right(haar_unitary(n, derive_seed(s, "u")), haar_unitary(n, derive_seed(s, "v")))
-        return compose(base, transpose_map(n))
+        if kind is InstanceKind.ANTI_PRESERVER:  # vec(A^tr) = vec(A)[p]: permute the columns
+            return SuperOperator(n, n, base.matrix[:, transpose_index(n)])
+        return base
     if kind is InstanceKind.MIXED_JORDAN:
-        if spec.p + spec.q > sys.maxsize:  # more blocks than a list can index
-            raise MemoryError(f"{spec.p + spec.q} blocks cannot be held")
+        # w has m^2 >= p + q entries: an allocation too large fails here, not in the list
+        w = haar_unitary(m, derive_seed(s, "w"))
         kinds = [BlockKind.ID] * spec.p + [BlockKind.TRANSPOSE] * spec.q
-        w = haar_unitary(n * (spec.p + spec.q), derive_seed(s, "w"))
         return direct_sum_embedding(kinds, w)
     if kind is InstanceKind.TRACE_PINCH:
         return trace_pinch_map(n)

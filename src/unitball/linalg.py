@@ -62,11 +62,10 @@ class Tolerance:
         if not 0.0 <= self.abs < math.inf:
             raise ValueError(f"tolerance must be finite and nonnegative, got {self.abs}")
 
-    def effective(self, rows: int, cols: int | None = None) -> float:
-        cols = rows if cols is None else cols
+    def effective(self, rows: int, cols: int) -> float:
         return min(self.abs * math.sqrt(rows * cols), sys.float_info.max)
 
-    def band(self, score: float, rows: int, cols: int | None = None) -> Band:
+    def band(self, score: float, rows: int, cols: int) -> Band:
         """PASS if ``score <= tol_eff``, FAIL if ``score > 10 tol_eff``, else INCONCLUSIVE."""
         teff = self.effective(rows, cols)
         if score <= teff:

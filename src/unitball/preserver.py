@@ -174,8 +174,8 @@ def falsify_by_sampling(
 
 def perturb(phi: SuperOperator, epsilon: float, seed: int) -> SuperOperator:
     """Add a seeded complex Gaussian of operator norm ``epsilon`` to the map."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     if epsilon == 0:
         return phi
     rng = np.random.default_rng(seed)

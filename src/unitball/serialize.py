@@ -191,15 +191,11 @@ def superop_from_obj(obj: Any) -> SuperOperator:
         )
     dim_in = _as_int(_require(obj, "dim_in", "superoperator"), "superoperator.dim_in")
     dim_out = _as_int(_require(obj, "dim_out", "superoperator"), "superoperator.dim_out")
-    if dim_in < 1 or dim_out < 1:
-        raise FormatError(f"superoperator: dims must be positive, got {dim_in}, {dim_out}")
     matrix = matrix_from_obj(_require(obj, "matrix", "superoperator"))
-    if matrix.shape != (dim_out**2, dim_in**2):
-        raise FormatError(
-            f"superoperator: matrix shape {matrix.shape} does not match dims "
-            f"({dim_out**2}, {dim_in**2})"
-        )
-    return SuperOperator(dim_in, dim_out, matrix)
+    try:
+        return SuperOperator(dim_in, dim_out, matrix)
+    except ValueError as exc:
+        raise FormatError(f"superoperator: {exc}") from exc
 
 
 def algebra_elements_from_obj(obj: Any) -> tuple[int, np.ndarray]:

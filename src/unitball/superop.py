@@ -48,7 +48,8 @@ class SuperOperator:
     """A linear map from M_n to M_m stored as an (m^2 x n^2) matrix.
 
     The matrix acts on column-stacked vectorizations.  Instances are
-    immutable; the backing array is marked read-only.
+    immutable: the map keeps a complex128 array it is given, uncopied, and
+    marks it read-only, so a caller who keeps writing to it passes a copy.
     """
 
     dim_in: int
@@ -57,14 +58,13 @@ class SuperOperator:
 
     def __post_init__(self) -> None:
         if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError("superoperator dimensions must be positive")
+            raise ValueError(f"dims must be positive, got {self.dim_in}, {self.dim_out}")
         m = as_matrix(self.matrix)
         if m.shape != (self.dim_out**2, self.dim_in**2):
             raise ValueError(
-                f"matrix shape {m.shape} does not match "
+                f"matrix shape {m.shape} does not match dims "
                 f"({self.dim_out**2}, {self.dim_in**2})"
             )
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

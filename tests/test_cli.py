@@ -115,6 +115,16 @@ def test_check_extreme_nonsquare_reads_the_algebra_file(tmp_path, capsys, algebr
         assert out == "" and str(apath) in err
 
 
+def test_check_extreme_algebra_of_another_size_is_data_error(tmp_path, capsys):
+    mpath = write_matrix(tmp_path, "m.json", np.eye(2))
+    apath = tmp_path / "m3.json"
+    ser.save_json(str(apath), {"n": 3, "elements": [ser.matrix_to_obj(np.eye(3))]})
+    code, out, err = run(capsys, "check-extreme", mpath, "--algebra", str(apath))
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.count("\n") == 1 and "algebra sits in M_3 but the matrix is 2x2" in err
+
+
 def test_check_extreme_algebra_not_closed_is_data_error(tmp_path, capsys):
     mpath = write_matrix(tmp_path, "m.json", np.eye(2))
     apath = tmp_path / "bad_algebra.json"
@@ -571,6 +581,17 @@ def test_make_invalid_dimension_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("epsilon", ["-0.1", "nan", "inf", "1e400"])
+def test_make_bad_epsilon_is_usage_error(capsys, epsilon):
+    """A negative or non-finite --epsilon is refused before any map is
+    drawn, for a kind that does not use it too."""
+    for kind in ("hom", "perturbed"):
+        code, out, err = run(capsys, "make", "--kind", kind, "--n", "2", "--epsilon", epsilon)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1 and "epsilon must be finite and nonnegative" in err
+
+
 def test_make_mixed_without_blocks_is_usage_error(capsys):
     code, _, _ = run(capsys, "make", "--kind", "mixed", "--n", "2", "--seed", "1")
     assert code == EXIT_USAGE
@@ -744,18 +765,24 @@ def test_integer_at_either_end_of_its_range_is_reported(tmp_path, capsys, key, e
     assert (obj["meta"]["instance"] if command == "make" else obj["run"])[flag[2:]] == value
 
 
-@pytest.mark.parametrize("blocks", [
-    ("--p", 2**63 - 1), ("--p", 2**63), ("--p", 2**64 - 1), ("--q", 2**63), ("--q", 2**64 - 1),
-    ("--p", 2**62, "--q", 2**62),
-], ids=["p-2^63-1", "p-2^63", "p-2^64-1", "q-2^63", "q-2^64-1", "p-q-2^62"])
-def test_more_blocks_than_memory_holds_is_out_of_memory(capsys, blocks):
-    """A mixed instance with p + q from 2**63 - 1 up to the top of the
-    --p/--q range cannot be built: one "out of memory" line and exit 2,
-    whether or not p + q still fits an index."""
-    code, out, err = run(capsys, "make", "--kind", "mixed", "--n", "1", *map(str, blocks))
+_MIXED_N1 = ("--kind", "mixed", "--n", "1")
+
+
+@pytest.mark.parametrize("args", [
+    (*_MIXED_N1, "--p", 2**63 - 1), (*_MIXED_N1, "--p", 2**63), (*_MIXED_N1, "--p", 2**64 - 1),
+    (*_MIXED_N1, "--q", 2**63), (*_MIXED_N1, "--q", 2**64 - 1), (*_MIXED_N1, "--p", 2**62, "--q", 2**62),
+    ("--kind", "hom", "--n", 2**32), ("--kind", "anti", "--n", 10**20), ("--kind", "perturbed", "--n", 100000),
+], ids=["p-2^63-1", "p-2^63", "p-2^64-1", "q-2^63", "q-2^64-1", "p-q-2^62", "n-2^32", "n-10^20", "n-10^5"])
+def test_more_blocks_than_memory_holds_is_out_of_memory(capsys, args):
+    """An instance whose matrix would pass sys.maxsize bytes, from p + q
+    blocks up to the top of the --p/--q range or from a large --n, is
+    refused before anything is allocated: one "out of memory" line that
+    names the byte count, and exit 2."""
+    code, out, err = run(capsys, "make", *map(str, args))
     assert code == EXIT_INCONCLUSIVE
     assert out == ""
-    assert err.count("\n") == 1 and "out of memory" in err
+    assert err.count("\n") == 1 and "out of memory" in err and "bytes" in err
+    assert not any(line.endswith(": ") for line in err.splitlines())
 
 
 @pytest.mark.parametrize("columns, scale", [((7, 5), 1e154), ((7,), 1e300)], ids=["E23-E32-1e154", "E23-1e300"])
@@ -832,16 +859,20 @@ def test_numerical_failure_is_inconclusive(tmp_path, capsys, monkeypatch):
 
 
 def test_out_of_memory_is_inconclusive(tmp_path, capsys, monkeypatch):
+    """numpy's MemoryError names the allocation; CPython's may carry no
+    message, and still gives a line with something after the colon."""
     path = write_superop(tmp_path, "id.json", identity_map(2))
+    for error in (MemoryError("Unable to allocate 7.00 TiB"), MemoryError()):
 
-    def exhausted(*args, **kwargs):
-        raise MemoryError("Unable to allocate 7.00 TiB")
+        def exhausted(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr(cli, "classify_preserver", exhausted)
-    code, out, err = run(capsys, "classify", path)
-    assert code == EXIT_INCONCLUSIVE
-    assert out == ""
-    assert err.count("\n") == 1 and "out of memory" in err
+        monkeypatch.setattr(cli, "classify_preserver", exhausted)
+        code, out, err = run(capsys, "classify", path)
+        assert code == EXIT_INCONCLUSIVE
+        assert out == ""
+        assert err.count("\n") == 1 and "out of memory" in err
+        assert not err.endswith(": \n")
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

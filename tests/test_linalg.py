@@ -56,7 +56,7 @@ def random_matrix(rng, rows, cols):
 def test_tolerance_effective_scales_with_dimension():
     tol = Tolerance(abs=1e-8)
     assert tol.effective(4, 4) == pytest.approx(4e-8)
-    assert tol.effective(9) == pytest.approx(9e-8)
+    assert tol.effective(9, 9) == pytest.approx(9e-8)
 
 
 def test_tolerance_always_scales_with_dimension():
@@ -81,7 +81,7 @@ def test_tolerance_effective_stays_finite_for_a_huge_tolerance():
     top = sys.float_info.max
     tol = Tolerance(abs=1e308)
     assert tol.effective(2, 2) == top
-    assert tol.effective(1) == 1e308
+    assert tol.effective(1, 1) == 1e308
     assert Tolerance(abs=top).effective(3, 5) == top
     assert tol.band(top, 2, 2) is Band.PASS
 

@@ -509,7 +509,7 @@ def band_first_witness(phi, stacks, tol):
     for stack in stacks:
         for u in stack:
             defect = unitarity_defect(apply(phi, u))
-            if tol.band(defect, phi.dim_out) is Band.FAIL:
+            if tol.band(defect, phi.dim_out, phi.dim_out) is Band.FAIL:
                 return u, defect
     return None, None
 
@@ -828,8 +828,9 @@ def test_perturb_has_exact_operator_norm():
 
 
 def test_perturb_rejects_negative():
-    with pytest.raises(ValueError):
-        perturb(identity_map(2), -1e-3, 0)
+    for epsilon in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            perturb(identity_map(2), epsilon, 0)
 
 
 # ------------------------------------------------------ identity audits

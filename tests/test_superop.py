@@ -53,6 +53,19 @@ def test_superoperator_matrix_is_frozen():
         phi.matrix[0, 0] = 5.0
 
 
+def test_superoperator_takes_ownership_of_its_array():
+    """A complex128 array is kept, not copied, and frozen in the caller's
+    hands too; an array of another dtype is converted and left alone."""
+    a = complex_gaussian(9, 4, np.random.default_rng(3))
+    phi = SuperOperator(2, 3, a)
+    assert np.shares_memory(phi.matrix, a)
+    assert not a.flags.writeable
+    real = np.eye(4)
+    converted = SuperOperator(2, 2, real).matrix
+    assert not np.shares_memory(converted, real)
+    assert real.flags.writeable and not converted.flags.writeable
+
+
 def test_images_of_matrix_units_match_apply():
     rng = np.random.default_rng(4)
     phi = SuperOperator(2, 3, rand(rng, 9, 4))
