@@ -176,8 +176,8 @@ def unitarity_defect(a: np.ndarray) -> float | np.ndarray:
     batched SVD and an array of k defects, each bit-identical to the defect
     of its matrix alone.
     """
-    a = as_matrix(a) if np.ndim(a) == 2 else np.asarray(a, dtype=np.complex128)
-    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+    a = as_matrices(a)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"unitarity defect needs square matrices, got shape {a.shape}")
     s = np.linalg.svd(a, compute_uv=False)
     top, bottom = s[..., 0], s[..., -1]
@@ -187,10 +187,12 @@ def unitarity_defect(a: np.ndarray) -> float | np.ndarray:
     return float(defect) if a.ndim == 2 else defect
 
 
-def unitary_exp(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """``exp(i t h)`` for Hermitian ``h``, exactly unitary by construction."""
+def unitary_exp(h: np.ndarray, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """``exp(i t h)`` for Hermitian ``h``, exactly unitary by construction; a 1-D
+    array of t gives the (len(t), n, n) stack, each bit-identical to its own call."""
     w, v = np.linalg.eigh(hermitian_part(as_matrix(h)))
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    phases = np.exp(1j * np.expand_dims(t, -1) * w)
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

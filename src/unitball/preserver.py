@@ -14,10 +14,10 @@ samples alone; the library keeps it for tests and the benchmark.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -99,13 +99,12 @@ class PreserverCertificate:
     reason: str = ""
 
 
-def _pair_unitaries(n: int, unit):
-    """Unitaries exp(i t H) from the Hermitian parts of the matrix unit E_ij."""
+def _pair_unitaries(n: int, unit) -> np.ndarray:
+    """The stack of exp(i t H), t in ``_WITNESS_T_STEPS``, H each Hermitian part of E_ij."""
     i, j = unit
     e = matrix_unit(n, i, j)
     gens = [e + e.conj().T] if i == j else [e + e.conj().T, 1j * (e - e.conj().T)]
-    for h, t in itertools.product(gens, _WITNESS_T_STEPS):
-        yield unitary_exp(h, t)
+    return np.concatenate([unitary_exp(h, _WITNESS_T_STEPS) for h in gens])
 
 
 def _haar_samples(n: int, count: int, seed: int):
@@ -139,14 +138,6 @@ def _first_witness(phi: SuperOperator, stacks, tol: Tolerance):
         if hits.size:
             return stack[hits[0]], float(defects[hits[0]])
     return None, None
-
-
-def _search_witness(phi: SuperOperator, tol: Tolerance, seed: int, starts=()):
-    """The structured starts, one at a time, then a seeded budget of Haar
-    samples in stacks."""
-    samples = _haar_samples(phi.dim_in, WITNESS_SAMPLE_BUDGET, seed)
-    singles = (u[None] for u in starts)
-    return _first_witness(phi, itertools.chain(singles, samples), tol)
 
 
 def falsify_by_sampling(
@@ -216,7 +207,7 @@ def classify_preserver(
     v_band = tol.band(v_res, m, m)
 
     def reject(reason: str, starts=(), **fields) -> PreserverCertificate:
-        witness, defect = _search_witness(phi, tol, seed, starts)
+        witness, defect = _first_witness(phi, chain(starts, _haar_samples(n, WITNESS_SAMPLE_BUDGET, seed)), tol)
         return PreserverCertificate(
             PreserverVerdict.INCONCLUSIVE if witness is None else PreserverVerdict.NOT_PRESERVER,
             v, v_res, seed=seed,
@@ -244,7 +235,7 @@ def classify_preserver(
                   residual_norm=fit.residual_norm)
     if fit.passed:
         return PreserverCertificate(PreserverVerdict.PRESERVER, v, v_res, seed=seed, **fields)
-    return reject("reconstruction-mismatch", _pair_unitaries(n, fit.worst), **fields)
+    return reject("reconstruction-mismatch", [_pair_unitaries(n, fit.worst)], **fields)
 
 
 def _identity_norms(phi: SuperOperator, v: np.ndarray, g: np.ndarray) -> np.ndarray:

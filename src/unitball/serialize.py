@@ -101,7 +101,7 @@ def _finite(value: Any) -> bool:
 def dump_json(obj: Any) -> str:
     if not _finite(obj):
         raise ValueError("a report cannot hold a NaN or an infinity")
-    return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SERIALIZE_NUMPY).decode()
+    return orjson.dumps(obj, option=orjson.OPT_INDENT_2).decode()
 
 
 def save_json(path: str, obj: Any) -> None:

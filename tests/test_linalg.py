@@ -300,6 +300,11 @@ def test_unitarity_defect_of_a_stack_matches_each_matrix():
         unitarity_defect(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         unitarity_defect(np.zeros((2, 2, 2, 2)))
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            unitarity_defect(broken)
 
 
 def test_unitary_exp_diagonal_case():
@@ -307,6 +312,19 @@ def test_unitary_exp_diagonal_case():
     u = unitary_exp(h, t=2.0)
     assert np.allclose(u, np.diag([np.exp(0.6j), np.exp(-2.4j)]), atol=1e-13)
     assert unitarity_defect(u) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_unitary_exp_of_a_t_array_matches_each_call(n):
+    """An array of t gives the stack of the one-t calls, bit for bit, for a
+    random Hermitian matrix and for the Hermitian parts of a matrix unit."""
+    rng = np.random.default_rng(n)
+    e = matrix_unit(n, 0, n - 1)
+    ts = np.array([1.0, -1.0, 0.5, -0.5, 0.37, 0.0])
+    for h in (hermitian_part(random_matrix(rng, n, n)), e + e.conj().T, 1j * (e - e.conj().T)):
+        stack = unitary_exp(h, ts)
+        assert stack.shape == (len(ts), n, n)
+        assert [u.tobytes() for u in stack] == [unitary_exp(h, float(t)).tobytes() for t in ts]
 
 
 def test_unitary_exp_is_always_unitary():

@@ -576,7 +576,7 @@ def unit_column_preserver(factor):
     u0, v0 = haar_from_rng(n, rng), haar_from_rng(n, rng)
     step = factor * DEFAULT_TOL.effective(n, n) * (u0[:, [0]] @ v0[[1], :]).flatten(order="F")
     phi = moved_column(from_left_right(u0, v0), 0, 1, step)
-    return phi, list(preserver._pair_unitaries(n, (0, 1)))
+    return phi, [preserver._pair_unitaries(n, (0, 1))]
 
 
 @pytest.mark.parametrize(
@@ -613,18 +613,56 @@ def test_stacked_search_matches_sequential_scoring(case, sample_index, start_ind
 
     budget = preserver.WITNESS_SAMPLE_BUDGET
     index, witness, defect = sequential_first_witness(
-        phi, itertools.chain(starts, sequential_samples(n, budget, seed))
+        phi, itertools.chain(*starts, sequential_samples(n, budget, seed))
     )
     expected = start_index if starts else sample_index
     assert index == expected
     if starts:
         assert sequential_first_witness(phi, sequential_samples(n, budget, seed))[0] is None
-    found, found_defect = preserver._search_witness(phi, DEFAULT_TOL, seed, starts)
+    stacks = itertools.chain(starts, preserver._haar_samples(n, budget, seed))
+    found, found_defect = preserver._first_witness(phi, stacks, DEFAULT_TOL)
     if witness is None:
         assert found is None and found_defect is None
     else:
         assert found.tobytes() == witness.tobytes()
         assert found_defect == defect
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_structured_starts_are_one_stack(n, monkeypatch):
+    """A reconstruction mismatch builds its structured starts with at most
+    two eigendecompositions, one per generator, and scores them with one
+    apply; its witness is the start a one-at-a-time loop finds first."""
+    phi = mixture(n, np.random.default_rng(4), 0.5)
+    eighs, applied, starts = [], [], []
+    eigh, pair_unitaries = np.linalg.eigh, preserver._pair_unitaries
+
+    def counted_eigh(a, *args, **kwargs):
+        eighs.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def counted_pair_unitaries(n, unit):
+        before = len(eighs)
+        stack = pair_unitaries(n, unit)
+        starts.append((stack, len(eighs) - before))
+        return stack
+
+    def counted_apply(phi, a):
+        applied.append(np.shape(a))
+        return apply(phi, a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(preserver, "_pair_unitaries", counted_pair_unitaries)
+    monkeypatch.setattr(preserver, "apply", counted_apply)
+    cert = classify_preserver(phi)
+    assert (cert.verdict, cert.reason) == (PreserverVerdict.NOT_PRESERVER, "reconstruction-mismatch")
+    [(stack, eigh_calls)] = starts
+    assert eigh_calls <= 2
+    assert applied == [(n, n), stack.shape]
+    index, witness, defect = sequential_first_witness(phi, stack)
+    assert index is not None
+    assert cert.witness.tobytes() == witness.tobytes()
+    assert cert.witness_defect == defect
 
 
 def test_sample_stacks_are_capped(monkeypatch):

@@ -94,7 +94,7 @@ def test_integer_entries_parse_to_the_nearest_double(tmp_path_factory, ints):
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (12, 12)])
 def test_matrix_text_matches_an_entry_loop(shape):
-    """The writer emits the text a loop over numpy scalar entries would,
+    """The writer emits the text a loop over the entries as floats would,
     signed zeros and subnormals included, for C-ordered and strided input."""
     rng = np.random.default_rng(shape[0] * shape[1])
     a = complex_gaussian(*shape, rng) * 10.0 ** rng.integers(-300, 300, size=shape)
@@ -108,7 +108,7 @@ def test_matrix_text_matches_an_entry_loop(shape):
         looped = {
             "rows": b.shape[0],
             "cols": b.shape[1],
-            "entries": [[[z.real, z.imag] for z in row] for row in b],
+            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in b],
         }
         assert ser.dump_json(ser.matrix_to_obj(b)) == ser.dump_json(looped)
 
@@ -434,6 +434,14 @@ def test_dump_json_refuses_a_non_finite_number(place, x):
     them wherever they sit, as json's allow_nan=False did."""
     with pytest.raises(ValueError):
         ser.dump_json(place(x))
+
+
+@pytest.mark.parametrize("value", [{"a": np.array([np.nan])}, np.float32("inf")], ids=["array", "float32"])
+def test_dump_json_refuses_numpy_values(value):
+    """A report holds plain JSON values only: a numpy array or numpy scalar
+    is refused, not written with NaN or infinity as null."""
+    with pytest.raises(TypeError):
+        ser.dump_json(value)
 
 
 def _certificates_of_every_reason():
