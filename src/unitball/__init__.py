@@ -16,6 +16,7 @@ from .extremal import (
     ExtremePointReport,
     ExtremeVerdict,
     IsometryClass,
+    OutsideBallReport,
     StarAlgebraBasis,
     classify_isometry,
     contraction_mean_of_unitaries,
@@ -58,6 +59,7 @@ __all__ = [
     "ExtremeVerdict",
     "StarAlgebraBasis",
     "ExtremePointReport",
+    "OutsideBallReport",
     "classify_isometry",
     "kadison_extreme_test",
     "selfadjoint_mean_of_unitaries",

@@ -35,7 +35,7 @@ import time
 import numpy as np
 
 from . import __version__, serialize as ser
-from .extremal import ExtremeVerdict, StarAlgebraBasis, classify_isometry, kadison_extreme_test
+from .extremal import ExtremeVerdict, OutsideBallReport, StarAlgebraBasis, classify_isometry, kadison_extreme_test
 from .gen import InstanceKind, InstanceSpec, generate
 from .linalg import Band, Tolerance
 from .preserver import PreserverVerdict, classify_preserver, identity_residuals
@@ -126,6 +126,8 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
 
     rep = kadison_extreme_test(a, basis, tol)
     report = {"isometry_class": rep.isometry_class.value, "report": ser.to_obj(rep)}
+    if isinstance(rep, OutsideBallReport):
+        return report, rep.verdict.value, f"norm {rep.norm:.3e} is outside the unit ball"
     return report, rep.verdict.value, f"kadison residual {rep.kadison_residual:.3e}"
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "ExtremeVerdict",
     "StarAlgebraBasis",
     "ExtremePointReport",
+    "OutsideBallReport",
     "classify_isometry",
     "kadison_extreme_test",
     "selfadjoint_mean_of_unitaries",
@@ -64,7 +65,10 @@ class StarAlgebraBasis:
     orthonormal rows of their span, so elements of any relative scale are
     resolved.  Closure is checked on those rows: their adjoints as one
     (r, n^2) block, their r^2 products as one such block per right factor,
-    then the identity, each projected onto the span.  When every element
+    then the identity, each projected onto the span.  A product of
+    Frobenius norm at most tol_eff is not projected, since its distance to
+    the span (which holds 0) is at most its norm; for matrix units that
+    skips every product E_ij E_kl with j != k.  When every element
     has an imaginary part of exactly zero, the whole check runs in real
     arithmetic: the complex span of real matrices has a real orthonormal
     basis, whose adjoints are transposes.  ``elements`` stays complex
@@ -114,8 +118,14 @@ class StarAlgebraBasis:
         def outside_span(rows: np.ndarray) -> bool:
             """Whether any row lies farther than tol_eff from the span.
 
-            Overwrites ``rows`` with their residuals.
+            A row of norm at most tol_eff is not projected: its residual is
+            at most its norm, as 0 lies in the span.  Overwrites ``rows``
+            with their residuals.
             """
+            flat = rows.view(np.float64)
+            keep = np.einsum("ij,ij->i", flat, flat) > teff * teff
+            if not keep.all():
+                rows = rows[keep]
             rows -= (rows @ basis_h) @ basis
             # a span of rank 0 leaves no rows to check but the identity
             return bool(np.max(np.linalg.norm(rows, axis=1), initial=0.0) > teff)
@@ -160,6 +170,23 @@ class ExtremePointReport:
     witness_index: int | None = None
 
 
+@dataclass(frozen=True)
+class OutsideBallReport:
+    """Outcome of the extreme-point test for a ``w`` outside the unit ball.
+
+    ``norm`` is ``||w||``, the largest singular value, and the certificate:
+    it exceeds 1 by more than ten times tol_eff, so ``w`` is not even in
+    the ball, and no defect of ``w`` is formed (``w*w`` may overflow).  Its
+    isometry class is None, as ``s^2 - 1`` and ``s |s^2 - 1|`` at
+    ``s = norm`` are both beyond tol_eff.
+    """
+
+    verdict: ExtremeVerdict = field(default=ExtremeVerdict.NOT_EXTREME, init=False)
+    reason: str = field(default="outside-ball", init=False)
+    norm: float
+    isometry_class: IsometryClass = field(default=IsometryClass.NONE, init=False, metadata={"hidden": True})
+
+
 def classify_isometry(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> IsometryClass:
     """Classify a (possibly rectangular) matrix by its isometry defects.
 
@@ -176,8 +203,12 @@ def classify_isometry(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> IsometryCl
 
 
 def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryClass:
-    """:func:`classify_isometry` of an m x n matrix with singular values s."""
-    deviation = float(np.max(abs(s * s - 1.0)))
+    """:func:`classify_isometry` of an m x n matrix with singular values s.
+    An s^2 that overflows is inf, which no finite tol_eff passes."""
+    with np.errstate(over="ignore"):
+        s2 = s * s
+        pi_defect = np.max(s * abs(s2 - 1.0))
+    deviation = float(np.max(abs(s2 - 1.0)))
     # the zeros that pad s^2 to n (or m) eigenvalues lie at distance 1 from I's
     left = (max(deviation, 1.0) if n > s.size else deviation) <= tol.effective(n, n)
     right = (max(deviation, 1.0) if m > s.size else deviation) <= tol.effective(m, m)
@@ -187,7 +218,7 @@ def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryCl
         return IsometryClass.ISOMETRY
     if right:
         return IsometryClass.COISOMETRY
-    if np.max(s * abs(s * s - 1.0)) <= tol.effective(m, n):
+    if pi_defect <= tol.effective(m, n):
         return IsometryClass.PARTIAL_ISOMETRY
     return IsometryClass.NONE
 
@@ -196,7 +227,7 @@ def kadison_extreme_test(
     w: np.ndarray,
     basis: StarAlgebraBasis,
     tol: Tolerance = DEFAULT_TOL,
-) -> ExtremePointReport:
+) -> ExtremePointReport | OutsideBallReport:
     """Test whether ``w`` is extreme in the unit ball of the algebra.
 
     The Kadison residual is ``max_k ||(I - w*w) B_k (I - ww*)||`` in the
@@ -209,6 +240,9 @@ def kadison_extreme_test(
     Extreme iff ``w`` is a partial isometry and the residual is below
     tolerance, NotExtreme beyond ten times tolerance, Inconclusive in the
     decade between (floating-point honesty at the decision boundary).
+    A ``w`` whose norm fails the band above 1 (``||w|| - 1 > 10 tol_eff``)
+    gets an :class:`OutsideBallReport` from that SVD alone, before
+    ``I - w*w`` is formed, which may overflow.
     """
     w = as_matrix(w)
     n = w.shape[0]
@@ -216,11 +250,13 @@ def kadison_extreme_test(
         raise ValueError(f"extreme-point test needs a square matrix, got {w.shape}")
     if basis.n != n:
         raise ValueError(f"matrix is {n}x{n} but basis algebra sits in M_{basis.n}")
+    s = np.linalg.svd(w, compute_uv=False)
+    if tol.band(float(s[0]) - 1.0, n, n) is Band.FAIL:
+        return OutsideBallReport(norm=float(s[0]))
     eye = np.eye(n)
     dl = eye - w.conj().T @ w
     dr = eye - w @ w.conj().T
 
-    s = np.linalg.svd(w, compute_uv=False)
     s2 = s * s
     pi_defect = float(np.max(s * abs(s2 - 1.0)))
     teff = tol.effective(n, n)
@@ -240,6 +276,10 @@ def kadison_extreme_test(
         norms = operator_norm(dl @ basis.elements @ dr)
         best_index = int(np.argmax(norms))
         residual = float(norms[best_index])
+        if residual == np.inf:
+            # the SVD scales its input, so a norm past the float range comes back
+            # as inf with no floating-point flag set: {I, 1e308 J} at w = 0
+            raise FloatingPointError("overflow encountered in the Kadison residual")
 
     score = max(pi_defect, residual)
     verdict = {

@@ -200,6 +200,70 @@ def test_check_extreme_takes_one_svd_of_w(tmp_path, capsys, monkeypatch):
     assert obj["isometry_class"] == "Isometry"
 
 
+@pytest.mark.parametrize("algebra", [False, True], ids=["full", "algebra-file"])
+def test_check_extreme_outside_the_ball_is_not_extreme(tmp_path, capsys, algebra):
+    """1e100 I_2, whose w*w overflows, is NotExtreme with reason
+    outside-ball and its norm as the certificate, read off the values-only
+    SVD before any defect is formed."""
+    path = write_matrix(tmp_path, "big.json", 1e100 * np.eye(2))
+    args = []
+    if algebra:
+        apath = tmp_path / "diag.json"
+        ser.save_json(str(apath), {"n": 2, "elements": [ser.matrix_to_obj(matrix_unit(2, i, i)) for i in range(2)]})
+        args = ["--algebra", str(apath)]
+    code, obj, err = run_json(capsys, "check-extreme", path, *args)
+    assert code == EXIT_NEGATIVE
+    assert obj["isometry_class"] == "None"
+    assert obj["report"] == {"verdict": "NotExtreme", "reason": "outside-ball", "norm": 1e100}
+    assert err == "NotExtreme: norm 1.000e+100 is outside the unit ball\n"
+
+
+@st.composite
+def scaled_matrices(draw):
+    """A unitary, a partial isometry, a contraction or a Gaussian matrix of
+    at most 4 x 4, square or not, scaled by 10^e for e in [-300, 300]."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4)) if draw(st.booleans()) else m
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    k = min(m, n)
+    s = {
+        "unitary": np.ones(k),
+        "partial-isometry": (np.arange(k) % 2).astype(float),
+        "contraction": rng.uniform(0.0, 1.0, k),
+        "gaussian": rng.uniform(0.0, 3.0, k),
+    }[draw(st.sampled_from(["unitary", "partial-isometry", "contraction", "gaussian"]))]
+    core = np.zeros((m, n))
+    core[range(k), range(k)] = s
+    w = haar_from_rng(m, rng) @ core @ haar_from_rng(n, rng)
+    return w * 10.0 ** draw(st.floats(-300.0, 300.0))
+
+
+@given(scaled_matrices(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_no_scale_of_a_valid_matrix_is_a_numerical_failure(tmp_path_factory, w, algebra):
+    """check-extreme gives every scale of a valid matrix a report and a
+    verdict exit code, over the full algebra or over it given as a file of
+    its matrix units: none ends in a numerical failure."""
+    tmp = tmp_path_factory.mktemp("scaled")
+    path = write_matrix(tmp, "w.json", w)
+    args = []
+    if algebra:
+        n = w.shape[0]
+        apath = tmp / "units.json"
+        ser.save_json(str(apath), {"n": n, "elements": _block_unit_objs((n,))})
+        args = ["--algebra", str(apath)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-extreme", path, *args])
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INCONCLUSIVE), err.getvalue()
+    assert "numerical failure" not in err.getvalue()
+    report = json.loads(out.getvalue())
+    if w.shape[0] != w.shape[1]:
+        assert report["reason"] == "nonsquare-matrix"
+    elif np.linalg.norm(w, 2) > 2:
+        assert report["report"]["reason"] == "outside-ball"
+
+
 def _block_unit_objs(blocks):
     n = sum(blocks)
     starts = np.cumsum((0,) + tuple(blocks))
@@ -826,11 +890,19 @@ def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["check-extreme", "classify", "verify-identities"])
 def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     """Finite inputs whose residuals overflow get no report, whose numbers
-    would not be finite, and no RuntimeWarning.  The classify input keeps
-    Phi(I) = I and scales the images of E_12 and E_21 by 1e300, so the form
-    probe F_12 v* F_21 overflows (a scaled identity gets a verdict)."""
+    would not be finite, and no RuntimeWarning.  The check-extreme input is
+    w = 0 in span{I, 1e308 J}, J the all-ones matrix, whose Kadison residual
+    ||1e308 J|| = 2e308 is past the float range (a w outside the ball gets a
+    verdict).  The classify input keeps Phi(I) = I and scales the images of
+    E_12 and E_21 by 1e300, so the form probe F_12 v* F_21 overflows (a
+    scaled identity gets a verdict)."""
+    args = []
     if command == "check-extreme":
-        path = write_matrix(tmp_path, "big.json", np.diag([1e300, 1e300]))
+        path = write_matrix(tmp_path, "zero.json", np.zeros((2, 2)))
+        apath = tmp_path / "algebra.json"
+        elements = [np.eye(2, dtype=complex), 1e308 * np.ones((2, 2), dtype=complex)]
+        ser.save_json(str(apath), {"n": 2, "elements": [ser.matrix_to_obj(e) for e in elements]})
+        args = ["--algebra", str(apath)]
     elif command == "classify":
         m = np.eye(4, dtype=complex)
         m[:, 1:3] *= 1e300
@@ -839,7 +911,7 @@ def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
         path = write_superop(tmp_path, "big.json", SuperOperator(2, 2, 1e300 * np.eye(4, dtype=complex)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run(capsys, command, path)
+        code, out, err = run(capsys, command, path, *args)
     assert code == EXIT_INCONCLUSIVE
     assert out == ""
     assert err.count("\n") == 1 and "numerical failure: overflow" in err

@@ -13,6 +13,7 @@ from unitball import extremal
 from unitball.extremal import (
     ExtremeVerdict,
     IsometryClass,
+    OutsideBallReport,
     StarAlgebraBasis,
     classify_isometry,
     contraction_mean_of_unitaries,
@@ -324,6 +325,70 @@ def test_rotated_block_algebra_closure_property(algebra, index, factor, seed):
         StarAlgebraBasis(moved)
 
 
+@given(
+    st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8),
+    st.integers(0, 63),
+    st.floats(10.0, 1e4),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_block_algebra_closure_property(blocks, index, factor, real, seed):
+    """The unrotated block units, whose products are mostly exactly zero and
+    so are not projected, span a *-subalgebra and are accepted.  Moving one
+    element by factor * tol_eff along a unit direction (real or complex)
+    orthogonal to the span gets them rejected, with the message of the
+    first property the pair-by-pair oracle finds missing."""
+    elements = block_units(blocks)
+    n, k = sum(blocks), len(elements)
+    assert closure_failure_by_pairs(elements) is None
+    assert closure_message(elements) is None
+
+    assume(k < n * n)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(n * n) if real else complex_gaussian(n * n, 1, rng)[:, 0]
+    # the units are the standard basis vectors of their positions
+    g[[i * n + j for i, j in (np.argwhere(e)[0] for e in elements)]] = 0.0
+    d = (g / np.linalg.norm(g)).reshape(n, n)
+    moved = list(elements)
+    moved[index % k] = moved[index % k] + factor * DEFAULT_TOL.effective(n, n) * d
+    failure = closure_failure_by_pairs(moved)
+    assert failure is not None
+    assert closure_message(moved) == _CLOSURE_MESSAGES[failure]
+
+
+def projected_product_rows(elements, monkeypatch):
+    """The rows StarAlgebraBasis(elements) projects, as (adjoint rows,
+    product rows per right factor, identity rows), read off the residual
+    blocks handed to np.linalg.norm after the first call, which takes the
+    norms of the elements themselves."""
+    rows = []
+    norm = np.linalg.norm
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a))
+        return norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    StarAlgebraBasis(elements)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return rows[1], rows[2:-1], rows[-1]
+
+
+def test_closure_projects_only_nonzero_products(monkeypatch):
+    """For the (3, 5, 8) block units (r = 98) the closure check projects the
+    98 adjoints, one block of products per right factor and the identity.
+    Of the r^2 = 9,604 products E_ij E_kl only those with j = k are nonzero,
+    sum(b^3) = 664 of them; rotated by a unitary, every product is dense
+    and all 9,604 are projected."""
+    units = block_units((3, 5, 8))
+    adjoints, products, identity = projected_product_rows(units, monkeypatch)
+    assert (adjoints, len(products), sum(products), identity) == (98, 98, 664, 1)
+    rotated = block_units((3, 5, 8), haar_unitary(16, 7))
+    adjoints, products, identity = projected_product_rows(rotated, monkeypatch)
+    assert (adjoints, len(products), sum(products), identity) == (98, 98, 98 * 98, 1)
+
+
 def test_basis_memory_stays_near_the_element_stack():
     """Checking the (3, 5, 8) block units (k = 98, n = 16) holds a few
     k x n^2 blocks at once, not k^2 products."""
@@ -520,7 +585,12 @@ def test_fast_path_matches_loop_oracle(seed):
     with the defining max over explicit triple products."""
     rng = np.random.default_rng(seed)
     n = 4
-    w = partial_isometry(n, 2, rng) if seed % 2 else complex_gaussian(n, n, rng) / 3
+    if seed % 2:
+        w = partial_isometry(n, 2, rng)
+    else:
+        # a contraction: outside the ball no residual is formed
+        g = complex_gaussian(n, n, rng)
+        w = g / (2 * operator_norm(g))
     rep = kadison_extreme_test(w, StarAlgebraBasis.full(n))
     assert rep.kadison_residual == pytest.approx(
         kadison_residual_by_loop(w, full_units(n)), abs=1e-12
@@ -652,9 +722,18 @@ def svd_built_matrices(draw, square):
 @given(svd_built_matrices(square=True))
 @settings(max_examples=150, deadline=None)
 def test_extreme_scores_match_direct_formulas(w):
-    rep = kadison_extreme_test(w, StarAlgebraBasis.full(w.shape[0]))
+    """A w whose norm fails the band above 1 gets the outside-ball report,
+    with its norm and isometry class; every other w gets the scores."""
+    n = w.shape[0]
+    rep = kadison_extreme_test(w, StarAlgebraBasis.full(n))
     want = direct_extreme_scores(w)
     assert rep.verdict is want["verdict"]
+    outside = DEFAULT_TOL.band(operator_norm(w) - 1.0, n, n) is Band.FAIL
+    assert isinstance(rep, OutsideBallReport) == outside
+    if outside:
+        assert rep.norm == pytest.approx(operator_norm(w), rel=1e-12)
+        assert rep.isometry_class is direct_isometry_class(w) is IsometryClass.NONE
+        return
     assert rep.is_partial_isometry == want["is_partial_isometry"]
     assert rep.defect_left == pytest.approx(want["defect_left"], abs=1e-12)
     assert rep.defect_right == pytest.approx(want["defect_right"], abs=1e-12)
