@@ -121,10 +121,14 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
         verdict = ExtremeVerdict.INCONCLUSIVE.value
         report = {"isometry_class": classify_isometry(a, tol).value, "verdict": verdict, "reason": "nonsquare-matrix"}
         return report, verdict, f"{rows}x{cols} matrix is not in a matrix algebra"
-    if basis.n != rows:
-        raise ser.FormatError(f"algebra sits in M_{basis.n} but the matrix is {rows}x{cols}")
 
-    rep = kadison_extreme_test(a, basis, tol)
+    try:
+        rep = kadison_extreme_test(a, basis, tol)
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        # the algebra sits in another M_n, or the matrix lies outside its span
+        raise ser.FormatError(str(exc)) from exc
     report = {"isometry_class": rep.isometry_class.value, "report": ser.to_obj(rep)}
     if isinstance(rep, OutsideBallReport):
         return report, rep.verdict.value, f"norm {rep.norm:.3e} is outside the unit ball"

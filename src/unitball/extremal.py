@@ -55,33 +55,46 @@ class ExtremeVerdict(Enum):
 class StarAlgebraBasis:
     """A (k, n, n) stack of matrices spanning a *-subalgebra of M_n.
 
+    The basis keeps one read-only complex128 copy of the stack in
+    ``elements``, each element divided by its largest real or imaginary
+    part (so that no norm overflows), then by its Frobenius norm; one of
+    norm at most tol_eff is kept as zero.  The closure check and the Kadison
+    residual both read this stack, so neither depends on element scale.
     On construction (unless built by :meth:`full`, which is exact) the span
     is checked to be closed under adjoints and pairwise products and to
     contain the identity, all within tolerance, in that order.  Complex
     bases are accepted, and so is any sequence of matrices that numpy
-    stacks.  The basis keeps its own read-only complex128 copy of the stack
-    in ``elements``.  Elements of Frobenius norm at most tol_eff count as
-    zero; the rest are scaled to unit norm before the SVD that finds the r
-    orthonormal rows of their span, so elements of any relative scale are
-    resolved.  Closure is checked on those rows: their adjoints as one
-    (r, n^2) block, their r^2 products as one such block per right factor,
-    then the identity, each projected onto the span.  A product of
-    Frobenius norm at most tol_eff is not projected, since its distance to
-    the span (which holds 0) is at most its norm; for matrix units that
-    skips every product E_ij E_kl with j != k.  When every element
-    has an imaginary part of exactly zero, the whole check runs in real
-    arithmetic: the complex span of real matrices has a real orthonormal
-    basis, whose adjoints are transposes.  ``elements`` stays complex
-    either way.
+    stacks.  The SVD of the stack gives the r orthonormal rows of its span
+    (row-major vecs, kept in ``span``), on which closure is checked: their
+    adjoints as one (r, n^2) block, their r^2 products as one such block
+    per right factor, then the identity, each projected onto the span.  A
+    product of Frobenius norm at most tol_eff is not projected, since its
+    distance to the span (which holds 0) is at most its norm; for matrix
+    units that skips every product E_ij E_kl with j != k.  When every
+    element has an imaginary part of exactly zero, the whole check runs in
+    real arithmetic: the complex span of real matrices has a real
+    orthonormal basis, whose adjoints are transposes.  ``elements`` stays
+    complex either way.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
         elems = as_matrices(np.array(elements, dtype=np.complex128))
         if elems.ndim != 3 or not len(elems) or elems.shape[1] != elems.shape[2]:
             raise ValueError(f"basis needs a non-empty stack of square matrices, got shape {elems.shape}")
+        k, n = elems.shape[:2]
+        teff = tol.effective(n, n)
+        # Row-major vecs throughout: the Frobenius residual ignores vec order.
+        vecs = elems.reshape(k, n * n)
+        if not vecs.imag.any():
+            vecs = vecs.real
+        # each row over its largest real or imaginary part, so no norm overflows: its norm is peaks * norms
+        peaks = np.abs(vecs.view(np.float64)).max(axis=1)
+        vecs /= np.where(peaks > 0, peaks, 1.0)[:, None]
+        norms = np.maximum(np.linalg.norm(vecs, axis=1), 1.0)  # 1 for a zero row
+        vecs *= np.where(peaks > teff / norms, 1.0 / norms, 0.0)[:, None]
         elems.flags.writeable = False
-        self.n, self.elements, self.is_full = elems.shape[1], elems, False
-        self._validate(tol)
+        self.n, self.elements, self.is_full = n, elems, False
+        self._validate(vecs, n, teff)
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebraBasis":
@@ -90,28 +103,13 @@ class StarAlgebraBasis:
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         basis = cls.__new__(cls)
-        basis.n, basis.elements, basis.is_full = n, None, True
+        basis.n, basis.elements, basis.span, basis.is_full = n, None, None, True
         return basis
 
-    def _validate(self, tol: Tolerance) -> None:
-        elems = self.elements
-        k, n = len(elems), self.n
-        teff = tol.effective(n, n)
-        # Row-major vecs throughout: the Frobenius residual ignores vec order.
-        vecs = elems.reshape(k, n * n)
-        if not vecs.imag.any():
-            vecs = vecs.real
-        # Each row is first divided by its largest real or imaginary part, so
-        # that no norm overflows; its norm is then peaks * norms, norms >= 1.
-        peaks = np.abs(vecs.view(np.float64)).max(axis=1)
-        vecs, peaks = vecs[peaks > 0], peaks[peaks > 0]
-        vecs /= peaks[:, None]
-        norms = np.linalg.norm(vecs, axis=1)
-        keep = peaks > teff / norms
-        vecs = vecs[keep] / norms[keep, None]
+    def _validate(self, vecs: np.ndarray, n: int, teff: float) -> None:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         r = int(np.count_nonzero(s > teff))
-        basis = vh[:r]
+        self.span = basis = vh[:r]
         basis_h = basis.conj().T
         units = basis.reshape(r, n, n)
 
@@ -231,35 +229,45 @@ def kadison_extreme_test(
     """Test whether ``w`` is extreme in the unit ball of the algebra.
 
     The Kadison residual is ``max_k ||(I - w*w) B_k (I - ww*)||`` in the
-    operator norm, taken over the basis elements: from the column norms of
-    the two defects for the full algebra (each term is rank one), and for
-    any other basis as one stacked product ``dl @ elements @ dr`` with one
-    batched norm call.  ``witness_index`` is the first element that attains
-    the max.  The partial-isometry defect, the projection defects and the
+    operator norm, taken over the unit-norm basis elements: from the column
+    norms of the two defects for the full algebra (each term is rank one),
+    and for any other basis as one stacked product ``dl @ elements @ dr``
+    with one batched norm call, so it does not depend on how the elements
+    were scaled.  ``witness_index`` is the first element that attains the
+    max.  The partial-isometry defect, the projection defects and the
     isometry class come from one values-only SVD of ``w``.  The verdict is
     Extreme iff ``w`` is a partial isometry and the residual is below
     tolerance, NotExtreme beyond ten times tolerance, Inconclusive in the
     decade between (floating-point honesty at the decision boundary).
     A ``w`` whose norm fails the band above 1 (``||w|| - 1 > 10 tol_eff``)
     gets an :class:`OutsideBallReport` from that SVD alone, before
-    ``I - w*w`` is formed, which may overflow.
+    ``I - w*w`` is formed, which may overflow.  Any other ``w`` farther
+    than tol_eff from the span of the basis (Frobenius distance, the
+    closure check's rule) is not in the algebra: ValueError.
     """
     w = as_matrix(w)
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError(f"extreme-point test needs a square matrix, got {w.shape}")
     if basis.n != n:
-        raise ValueError(f"matrix is {n}x{n} but basis algebra sits in M_{basis.n}")
+        raise ValueError(f"algebra sits in M_{basis.n} but the matrix is {n}x{n}")
     s = np.linalg.svd(w, compute_uv=False)
     if tol.band(float(s[0]) - 1.0, n, n) is Band.FAIL:
         return OutsideBallReport(norm=float(s[0]))
+    teff = tol.effective(n, n)
+    if not basis.is_full:
+        x = w.reshape(n * n, 1)
+        if basis.span.dtype == np.float64:  # project the real and imaginary parts as two columns
+            x = x.view(np.float64)
+        distance = float(np.linalg.norm(x - basis.span.T @ (basis.span.conj() @ x)))
+        if distance > teff:
+            raise ValueError(f"matrix lies {distance:.3e} from the algebra's span, beyond tol_eff {teff:.3e}")
     eye = np.eye(n)
     dl = eye - w.conj().T @ w
     dr = eye - w @ w.conj().T
 
     s2 = s * s
     pi_defect = float(np.max(s * abs(s2 - 1.0)))
-    teff = tol.effective(n, n)
     is_pi = pi_defect <= teff
     # w*w and ww* share the eigenvalues s^2; the nearest projection rounds them at 1/2
     projection_defect = float(np.max(abs(s2 - (s2 >= 0.5))))
@@ -278,7 +286,8 @@ def kadison_extreme_test(
         residual = float(norms[best_index])
         if residual == np.inf:
             # the SVD scales its input, so a norm past the float range comes back
-            # as inf with no floating-point flag set: {I, 1e308 J} at w = 0
+            # as inf with no floating-point flag set: {I, J} at w = 1.189e77 I
+            # and a tolerance of 1e100
             raise FloatingPointError("overflow encountered in the Kadison residual")
 
     score = max(pi_defect, residual)

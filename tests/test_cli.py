@@ -125,6 +125,58 @@ def test_check_extreme_algebra_of_another_size_is_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "algebra sits in M_3 but the matrix is 2x2" in err
 
 
+def write_algebra(tmp_path, name, elements):
+    path = tmp_path / name
+    n = len(elements[0])
+    ser.save_json(str(path), {"n": n, "elements": [ser.matrix_to_obj(np.asarray(e, dtype=complex)) for e in elements]})
+    return str(path)
+
+
+def test_check_extreme_matrix_outside_the_algebra_is_data_error(tmp_path, capsys):
+    """The swap [[0, 1], [1, 0]] is not in the diagonal algebra, so it is
+    not in that algebra's unit ball: the file pair is refused with one line
+    naming the distance, not given a verdict."""
+    mpath = write_matrix(tmp_path, "swap.json", [[0.0, 1.0], [1.0, 0.0]])
+    apath = write_algebra(tmp_path, "diag.json", [matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])
+    code, out, err = run(capsys, "check-extreme", mpath, "--algebra", apath)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.count("\n") == 1 and "lies 1.414e+00 from the algebra's span" in err
+    # over the full algebra the swap is a unitary, so extreme
+    code, obj, _ = run_json(capsys, "check-extreme", mpath)
+    assert (code, obj["report"]["verdict"]) == (EXIT_OK, "Extreme")
+
+
+def test_check_extreme_off_block_entry_is_data_error(tmp_path, capsys):
+    """A block unitary of M_2 + M_2 is extreme in that algebra; half of it
+    plus 1e-3 in one off-block entry, a contraction, is no element of it."""
+    rng = np.random.default_rng(3)
+    w = np.zeros((4, 4), dtype=complex)
+    w[:2, :2], w[2:, 2:] = haar_from_rng(2, rng), haar_from_rng(2, rng)
+    apath = write_algebra(tmp_path, "blocks.json", [matrix_unit(4, i, j) for lo in (0, 2) for i in (lo, lo + 1) for j in (lo, lo + 1)])
+    code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "w.json", w), "--algebra", apath)
+    assert (code, obj["report"]["verdict"], obj["report"]["witness_index"]) == (EXIT_OK, "Extreme", None), err
+    moved = 0.5 * w
+    moved[0, 3] = 1e-3
+    code, out, err = run(capsys, "check-extreme", write_matrix(tmp_path, "moved.json", moved), "--algebra", apath)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.count("\n") == 1 and "lies 1.000e-03 from the algebra's span" in err
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e300])
+def test_check_extreme_verdict_does_not_depend_on_element_scale(tmp_path, capsys, scale):
+    """W = E_11 over the diagonal algebra given as {E_11, s E_22}: the
+    Kadison residual is taken over unit-norm elements, so every scale s
+    gives residual 1, witnessed by the second element, and exit 1."""
+    mpath = write_matrix(tmp_path, "e11.json", matrix_unit(2, 0, 0))
+    apath = write_algebra(tmp_path, "diag.json", [matrix_unit(2, 0, 0), scale * matrix_unit(2, 1, 1)])
+    code, obj, err = run_json(capsys, "check-extreme", mpath, "--algebra", apath)
+    assert code == EXIT_NEGATIVE, err
+    assert obj["report"]["verdict"] == "NotExtreme"
+    assert (obj["report"]["kadison_residual"], obj["report"]["witness_index"]) == (1.0, 1)
+
+
 def test_check_extreme_algebra_not_closed_is_data_error(tmp_path, capsys):
     mpath = write_matrix(tmp_path, "m.json", np.eye(2))
     apath = tmp_path / "bad_algebra.json"
@@ -891,18 +943,18 @@ def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
 def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     """Finite inputs whose residuals overflow get no report, whose numbers
     would not be finite, and no RuntimeWarning.  The check-extreme input is
-    w = 0 in span{I, 1e308 J}, J the all-ones matrix, whose Kadison residual
-    ||1e308 J|| = 2e308 is past the float range (a w outside the ball gets a
-    verdict).  The classify input keeps Phi(I) = I and scales the images of
-    E_12 and E_21 by 1e300, so the form probe F_12 v* F_21 overflows (a
-    scaled identity gets a verdict)."""
+    w = 1.189e77 I in span{1e308 I, 1e308 J}, J the all-ones matrix, at
+    --tol 1e100, so that w stays in the band around the ball and both
+    elements lie above tol_eff: the entries of (I - w*w)(J/2)(I - ww*)
+    stay finite, but its norm 1.41e154^2 is past the float range.  The
+    classify input keeps Phi(I) = I and scales the images of E_12 and E_21
+    by 1e300, so the form probe F_12 v* F_21 overflows (a scaled identity
+    gets a verdict)."""
     args = []
     if command == "check-extreme":
-        path = write_matrix(tmp_path, "zero.json", np.zeros((2, 2)))
-        apath = tmp_path / "algebra.json"
-        elements = [np.eye(2, dtype=complex), 1e308 * np.ones((2, 2), dtype=complex)]
-        ser.save_json(str(apath), {"n": 2, "elements": [ser.matrix_to_obj(e) for e in elements]})
-        args = ["--algebra", str(apath)]
+        path = write_matrix(tmp_path, "big.json", 1.189e77 * np.eye(2))
+        apath = write_algebra(tmp_path, "algebra.json", [1e308 * np.eye(2), 1e308 * np.ones((2, 2))])
+        args = ["--algebra", apath, "--tol", "1e100"]
     elif command == "classify":
         m = np.eye(4, dtype=complex)
         m[:, 1:3] *= 1e300
@@ -915,6 +967,21 @@ def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     assert code == EXIT_INCONCLUSIVE
     assert out == ""
     assert err.count("\n") == 1 and "numerical failure: overflow" in err
+
+
+def test_zero_over_a_huge_algebra_element_is_not_extreme(tmp_path, capsys):
+    """w = 0 in span{I, 1e308 J}: the elements are scaled to unit norm
+    before the Kadison residual, so ||J / 2|| = 1 is the residual and the
+    J element its witness, where the raw ||1e308 J|| would overflow."""
+    path = write_matrix(tmp_path, "zero.json", np.zeros((2, 2)))
+    apath = write_algebra(tmp_path, "algebra.json", [np.eye(2), 1e308 * np.ones((2, 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, obj, err = run_json(capsys, "check-extreme", path, "--algebra", apath)
+    assert code == EXIT_NEGATIVE, err
+    assert obj["report"]["verdict"] == "NotExtreme"
+    assert obj["report"]["witness_index"] == 1
+    assert obj["report"]["kadison_residual"] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_numerical_failure_is_inconclusive(tmp_path, capsys, monkeypatch):

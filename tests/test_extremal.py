@@ -202,6 +202,20 @@ def test_basis_accepts_elements_of_any_relative_scale(n, scale):
     assert len(basis.elements) == 2
 
 
+def test_basis_keeps_its_elements_at_unit_norm():
+    """``elements`` holds each element over its Frobenius norm, also one
+    whose norm overflows, and as zero one of norm at most tol_eff, so the
+    stack keeps one row per element given."""
+    n = 3
+    ones = np.ones((n, n), dtype=complex)
+    given = [2.0 * np.eye(n), np.full((n, n), 1.7e308 + 1.7e308j), 1e-9 * ones, np.zeros((n, n))]
+    basis = StarAlgebraBasis(given)
+    want = [np.eye(n) / math.sqrt(n), (1 + 1j) * ones / math.sqrt(2 * n * n), 0 * ones, 0 * ones]
+    assert basis.elements.shape == (4, n, n)
+    np.testing.assert_allclose(basis.elements, want, rtol=0, atol=1e-15)
+    assert not basis.elements.flags.writeable
+
+
 @pytest.mark.parametrize("scale", [1e-7, 1e20, 1e200, 1.7e308])
 def test_basis_rejects_unclosed_span_at_any_scale(scale):
     """span{I, s E_12} misses E_21 at every scale above tol_eff, including
@@ -622,6 +636,61 @@ def test_subalgebra_residual_matches_loop_oracle():
     oracle = kadison_residual_by_loop(u @ w @ u.conj().T, basis.elements)
     assert rep.kadison_residual == pytest.approx(oracle, abs=1e-12)
     assert 4 <= rep.witness_index < 8  # a unit of the deficient 2x2 block
+
+
+@st.composite
+def rescaled_block_algebras(draw):
+    """(units, w, index, k, tol): the units of a block algebra, unrotated or
+    conjugated by a Haar unitary U; w = U P U* with P a signed permutation
+    within each block, one column of P possibly zero, so that the Kadison
+    residual has at most one witness; the element to rescale by 10^k.  An
+    element at or below tol_eff counts as zero, so the tolerance stays below
+    10^k: a rotated basis is closed only to rounding and keeps the default
+    tolerance with k >= -7, while matrix units and an unrotated P are exact
+    and take k down to -150."""
+    blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(blocks)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    rotated = draw(st.booleans())
+    p = np.zeros((n, n), dtype=complex)
+    for lo, b in zip(np.cumsum((0,) + tuple(blocks)), blocks):
+        p[lo:lo + b, lo:lo + b] = np.eye(b)[rng.permutation(b)] * rng.choice([-1.0, 1.0], b)
+    if draw(st.booleans()):
+        p[:, draw(st.integers(0, n - 1))] = 0.0
+    u = haar_from_rng(n, rng) if rotated else np.eye(n)
+    k = draw(st.integers(-7 if rotated else -150, 150))
+    tol = Tolerance(min(1e-8, 10.0 ** (k - 3)))
+    units = block_units(blocks, u if rotated else None)
+    return units, u @ p @ u.conj().T, draw(st.integers(0, len(units) - 1)), k, tol
+
+
+@given(rescaled_block_algebras())
+@settings(max_examples=100, deadline=None)
+def test_kadison_report_does_not_depend_on_element_scale(case):
+    """Rescaling one element of a block algebra by 10^k leaves the verdict
+    and the witness index as they were, and the Kadison residual equal to
+    rounding: the residual is taken over the unit-norm elements."""
+    units, w, index, k, tol = case
+    rescaled = list(units)
+    rescaled[index] = 10.0**k * units[index]
+    rep = kadison_extreme_test(w, StarAlgebraBasis(units, tol), tol)
+    got = kadison_extreme_test(w, StarAlgebraBasis(rescaled, tol), tol)
+    assert got.verdict is rep.verdict
+    assert got.witness_index == rep.witness_index
+    assert got.kadison_residual == pytest.approx(rep.kadison_residual, rel=1e-12, abs=1e-15)
+
+
+def test_kadison_refuses_a_matrix_outside_the_span():
+    """The swap [[0, 1], [1, 0]] lies at Frobenius distance sqrt(2) from
+    the diagonal algebra, so it is no element of its unit ball; over the
+    full algebra, which needs no check, it is a unitary."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="lies 1.414e[+]00 from the algebra's span"):
+        kadison_extreme_test(swap, StarAlgebraBasis([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)]))
+    assert kadison_extreme_test(swap, StarAlgebraBasis.full(2)).verdict is ExtremeVerdict.EXTREME
+    # a distance within tol_eff is rounding, not a miss
+    near = np.diag([1.0, 0.0]) + 1e-9 * swap
+    assert kadison_extreme_test(near, StarAlgebraBasis([matrix_unit(2, 0, 0), matrix_unit(2, 1, 1)])).witness_index == 1
 
 
 def test_kadison_dimension_mismatch():
