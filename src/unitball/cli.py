@@ -132,7 +132,10 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     report = {"isometry_class": rep.isometry_class.value, "report": ser.to_obj(rep)}
     if isinstance(rep, OutsideBallReport):
         return report, rep.verdict.value, f"norm {rep.norm:.3e} is outside the unit ball"
-    return report, rep.verdict.value, f"kadison residual {rep.kadison_residual:.3e}"
+    detail = f"unitarity defect {rep.margin + tol.effective(rows, cols):.3e}"
+    if rep.kadison_residual is not None:  # the scan ran, as the verdict is not Extreme
+        detail += f", kadison residual {rep.kadison_residual:.3e}, witness_index {rep.witness_index}"
+    return report, rep.verdict.value, detail
 
 
 def _cmd_classify(args, tol: Tolerance) -> tuple[dict, str, str]:

@@ -2,10 +2,11 @@
 
 A norm-one operator is extreme in the unit ball of a C*-algebra B exactly
 when it is a partial isometry W with (I - W*W) B (I - WW*) = {0} (Kadison's
-criterion).  Over the full matrix algebra this reduces to: the extreme
-points are the unitaries.  This module implements the criterion over an
-arbitrary *-subalgebra together with the mean-of-unitaries decompositions
-that witness non-extremeness of contractions.
+criterion).  In a finite-dimensional B that contains I this means W is
+unitary, so over a unital *-subalgebra this module decides by W's
+unitarity defect and runs Kadison's scan only to name a witness element.
+It also gives the mean-of-unitaries decompositions that witness
+non-extremeness of contractions.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ class ExtremePointReport:
     ``defect_left`` is the distance ``||w*w - P||`` of w*w to its nearest
     orthogonal projection P, ``defect_right`` the same for ww*.  Both are
     ``max_k |s_k^2 - [s_k^2 >= 1/2]|`` over the singular values s of w,
-    so for a square w they are equal.  ``margin`` is ``score - tol_eff``
-    where ``score`` is the larger of the partial-isometry defect
-    ``||ww*w - w||`` and the Kadison residual: nonpositive for Extreme,
-    above ``9 * tol_eff`` for NotExtreme, in between for Inconclusive.
-    ``witness_index`` points at a basis element with
-    ``||(I - w*w) B_k (I - ww*)|| > tol`` when one exists.
+    so for a square w they are equal.  ``margin`` is the unitarity defect
+    ``max_k |s_k^2 - 1|``, on which the verdict rests, minus tol_eff:
+    nonpositive for Extreme, above ``9 * tol_eff`` for NotExtreme, in
+    between for Inconclusive.  ``kadison_residual`` is the largest
+    ``||(I - w*w) B_k (I - ww*)||``, None for Extreme, where no scan runs;
+    ``witness_index`` names an element attaining it above tol_eff.
     ``isometry_class`` is what :func:`classify_isometry` gives for ``w``;
     hidden from the report, ``check-extreme`` writes it beside the report.
     """
@@ -162,7 +163,7 @@ class ExtremePointReport:
     defect_left: float
     defect_right: float
     is_partial_isometry: bool
-    kadison_residual: float
+    kadison_residual: float | None
     margin: float
     isometry_class: IsometryClass = field(metadata={"hidden": True})
     witness_index: int | None = None
@@ -228,22 +229,22 @@ def kadison_extreme_test(
 ) -> ExtremePointReport | OutsideBallReport:
     """Test whether ``w`` is extreme in the unit ball of the algebra.
 
-    The Kadison residual is ``max_k ||(I - w*w) B_k (I - ww*)||`` in the
-    operator norm, taken over the unit-norm basis elements: from the column
-    norms of the two defects for the full algebra (each term is rank one),
-    and for any other basis as one stacked product ``dl @ elements @ dr``
-    with one batched norm call, so it does not depend on how the elements
-    were scaled.  ``witness_index`` is the first element that attains the
-    max.  The partial-isometry defect, the projection defects and the
-    isometry class come from one values-only SVD of ``w``.  The verdict is
-    Extreme iff ``w`` is a partial isometry and the residual is below
-    tolerance, NotExtreme beyond ten times tolerance, Inconclusive in the
-    decade between (floating-point honesty at the decision boundary).
-    A ``w`` whose norm fails the band above 1 (``||w|| - 1 > 10 tol_eff``)
-    gets an :class:`OutsideBallReport` from that SVD alone, before
-    ``I - w*w`` is formed, which may overflow.  Any other ``w`` farther
-    than tol_eff from the span of the basis (Frobenius distance, the
-    closure check's rule) is not in the algebra: ValueError.
+    One values-only SVD of ``w`` gives every score.  A ``w`` whose norm
+    fails the band above 1 (``||w|| - 1 > 10 tol_eff``) gets an
+    :class:`OutsideBallReport` before ``I - w*w`` is formed, which may
+    overflow.  Any other ``w`` farther than tol_eff from the span of the
+    basis (Frobenius distance, the closure check's rule) is not in the
+    algebra: ValueError.  The basis spans a unital *-subalgebra, where
+    Kadison's criterion is unitarity, so the verdict is the band applied to
+    the unitarity defect ``max |s^2 - 1|``: Extreme up to tol_eff,
+    NotExtreme beyond ten times it, Inconclusive in the decade between.
+    The partial-isometry defect, the projection defects and the isometry
+    class come from the same singular values.  Only a ``w`` that is not
+    Extreme gets the Kadison residual ``max_k ||(I - w*w) B_k (I - ww*)||``
+    over the unit-norm elements, and ``witness_index``, the first element
+    that attains it: from the column norms of the two defects for the full
+    algebra (each term is rank one), and for any other basis as one stacked
+    product ``dl @ elements @ dr`` with one batched norm call.
     """
     w = as_matrix(w)
     n = w.shape[0]
@@ -262,49 +263,43 @@ def kadison_extreme_test(
         distance = float(np.linalg.norm(x - basis.span.T @ (basis.span.conj() @ x)))
         if distance > teff:
             raise ValueError(f"matrix lies {distance:.3e} from the algebra's span, beyond tol_eff {teff:.3e}")
-    eye = np.eye(n)
-    dl = eye - w.conj().T @ w
-    dr = eye - w @ w.conj().T
-
     s2 = s * s
-    pi_defect = float(np.max(s * abs(s2 - 1.0)))
-    is_pi = pi_defect <= teff
     # w*w and ww* share the eigenvalues s^2; the nearest projection rounds them at 1/2
     projection_defect = float(np.max(abs(s2 - (s2 >= 0.5))))
+    unitarity = float(np.max(abs(s2 - 1.0)))
+    band = tol.band(unitarity, n, n)
 
-    if basis.is_full:
-        # (I-w*w) E_ij (I-ww*) is rank one with norm ||dl e_i|| * ||dr e_j||.
-        ln = np.linalg.norm(dl, axis=0)
-        rn = np.linalg.norm(dr, axis=0)
-        i_star = int(np.argmax(ln))
-        j_star = int(np.argmax(rn))
-        residual = float(ln[i_star] * rn[j_star])
-        best_index = i_star * n + j_star
-    else:
-        norms = operator_norm(dl @ basis.elements @ dr)
-        best_index = int(np.argmax(norms))
-        residual = float(norms[best_index])
-        if residual == np.inf:
-            # the SVD scales its input, so a norm past the float range comes back
-            # as inf with no floating-point flag set: {I, J} at w = 1.189e77 I
-            # and a tolerance of 1e100
-            raise FloatingPointError("overflow encountered in the Kadison residual")
+    residual = witness = None
+    if band is not Band.PASS:  # the scan only names the element that shows w is not extreme
+        dl = np.eye(n) - w.conj().T @ w
+        dr = np.eye(n) - w @ w.conj().T
+        if basis.is_full:
+            # (I-w*w) E_ij (I-ww*) is rank one with norm ||dl e_i|| * ||dr e_j||.
+            ln, rn = np.linalg.norm(dl, axis=0), np.linalg.norm(dr, axis=0)
+            best_index = int(np.argmax(ln)) * n + int(np.argmax(rn))
+            residual = float(ln.max() * rn.max())
+        else:
+            norms = operator_norm(dl @ basis.elements @ dr)
+            best_index = int(np.argmax(norms))
+            residual = float(norms[best_index])
+            if residual == np.inf:
+                # the SVD scales its input, so a norm past the float range comes back as inf
+                # with no floating-point flag set: {I, J} at w = 1.189e77 I and a tol of 1e100
+                raise FloatingPointError("overflow encountered in the Kadison residual")
+        witness = best_index if residual > teff else None
 
-    score = max(pi_defect, residual)
     verdict = {
         Band.PASS: ExtremeVerdict.EXTREME,
         Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,
         Band.FAIL: ExtremeVerdict.NOT_EXTREME,
-    }[tol.band(score, n, n)]
-
-    witness = best_index if residual > teff else None
+    }[band]
     return ExtremePointReport(
         verdict=verdict,
         defect_left=projection_defect,
         defect_right=projection_defect,
-        is_partial_isometry=is_pi,
+        is_partial_isometry=bool(np.max(s * abs(s2 - 1.0)) <= teff),
         kadison_residual=residual,
-        margin=float(score - teff),
+        margin=unitarity - teff,
         isometry_class=_isometry_class(s, n, n, tol),
         witness_index=witness,
     )

@@ -62,16 +62,19 @@ def test_check_extreme_identity_passes(tmp_path, capsys):
     assert obj["report"]["verdict"] == "Extreme"
     assert obj["isometry_class"] == "Unitary"
     assert obj["run"]["tool"] == "unitball"
-    assert "Extreme" in err
+    # an Extreme verdict rests on the unitarity defect alone, and no Kadison scan runs
+    assert obj["report"]["kadison_residual"] is None
+    assert err == "Extreme: unitarity defect 0.000e+00\n"
 
 
 def test_check_extreme_matrix_unit_fails_with_witness(tmp_path, capsys):
     path = write_matrix(tmp_path, "e11.json", matrix_unit(2, 0, 0))
-    code, obj, _ = run_json(capsys, "check-extreme", path)
+    code, obj, err = run_json(capsys, "check-extreme", path)
     assert code == EXIT_NEGATIVE
     assert obj["report"]["verdict"] == "NotExtreme"
     assert obj["report"]["witness_index"] == 3
     assert obj["report"]["kadison_residual"] == pytest.approx(1.0)
+    assert err == "NotExtreme: unitarity defect 1.000e+00, kadison residual 1.000e+00, witness_index 3\n"
 
 
 def test_check_extreme_rectangular_is_out_of_scope(tmp_path, capsys):
@@ -222,7 +225,7 @@ def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
     code, obj, err = run_json(capsys, "check-extreme", mpath, "--algebra", str(apath))
     assert code == EXIT_OK, err
     assert obj["report"]["verdict"] == "Extreme"
-    assert obj["report"]["witness_index"] is None
+    assert (obj["report"]["kadison_residual"], obj["report"]["witness_index"]) == (None, None)
 
 
 def test_check_extreme_takes_one_svd_of_w(tmp_path, capsys, monkeypatch):

@@ -553,10 +553,14 @@ def test_real_basis_memory_stays_within_five_complex_stacks():
 
 
 def test_haar_unitary_is_extreme():
-    rep = kadison_extreme_test(haar_unitary(4, 21), StarAlgebraBasis.full(4))
+    """A unitary is Extreme on its unitarity defect alone: no Kadison scan
+    runs, so the report carries no residual and no witness."""
+    u = haar_unitary(4, 21)
+    rep = kadison_extreme_test(u, StarAlgebraBasis.full(4))
     assert rep.verdict is ExtremeVerdict.EXTREME
     assert rep.is_partial_isometry
-    assert rep.kadison_residual <= 1e-12
+    assert rep.kadison_residual is None
+    assert rep.margin == pytest.approx(unitarity_defect(u) - DEFAULT_TOL.effective(4, 4), abs=1e-15)
     assert rep.margin <= 0
     assert rep.witness_index is None
     assert rep.defect_left <= 1e-12 and rep.defect_right <= 1e-12
@@ -710,10 +714,18 @@ def test_zero_matrix_is_not_extreme():
 # ------------------------------------------------ singular-value read-off
 
 
+VERDICT_BY_BAND = {
+    Band.PASS: ExtremeVerdict.EXTREME,
+    Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,
+    Band.FAIL: ExtremeVerdict.NOT_EXTREME,
+}
+
+
 def direct_extreme_scores(w, tol=DEFAULT_TOL):
     """Independent oracle: the partial-isometry defect ||ww*w - w||, the
     distances of w*w and ww* to their nearest projections (eigenvalues
-    rounded at 1/2 through eigh), and the verdict from the larger of the
+    rounded at 1/2 through eigh), the margin from the unitarity defect
+    ||w*w - I||, and Kadison's verdict from the larger of the
     partial-isometry defect and the loop residual."""
     n = w.shape[0]
 
@@ -724,16 +736,12 @@ def direct_extreme_scores(w, tol=DEFAULT_TOL):
     wh = w.conj().T
     pi_defect = operator_norm(w @ wh @ w - w)
     score = max(pi_defect, kadison_residual_by_loop(w, full_units(n)))
-    verdict = {
-        Band.PASS: ExtremeVerdict.EXTREME,
-        Band.INCONCLUSIVE: ExtremeVerdict.INCONCLUSIVE,
-        Band.FAIL: ExtremeVerdict.NOT_EXTREME,
-    }[tol.band(score, n, n)]
+    verdict = VERDICT_BY_BAND[tol.band(score, n, n)]
     return {
         "defect_left": to_nearest_projection(wh @ w),
         "defect_right": to_nearest_projection(w @ wh),
         "is_partial_isometry": pi_defect <= tol.effective(n, n),
-        "margin": score - tol.effective(n, n),
+        "margin": operator_norm(wh @ w - np.eye(n)) - tol.effective(n, n),
         "verdict": verdict,
     }
 
@@ -809,6 +817,60 @@ def test_extreme_scores_match_direct_formulas(w):
     assert rep.margin == pytest.approx(want["margin"], abs=1e-12)
 
 
+@st.composite
+def block_algebra_matrices(draw):
+    """(units, w): the matrix units of a block algebra of layout (2, 2),
+    (3, 5) or (1, 1, 1), unrotated (real) or conjugated by a Haar unitary U
+    (complex), and U W U* with W block-diagonal, each block A diag(s) B
+    with Haar A, B and s drawn at the decision points: unitaries,
+    rank-deficient partial isometries, contractions, and near-unitaries on
+    both sides of both band edges.  Half the draws take every s from 1 and
+    the near-unitary points alone, so that Extreme and Inconclusive are
+    common rather than a product of rare draws."""
+    blocks = draw(st.sampled_from([(2, 2), (3, 5), (1, 1, 1)]))
+    n = sum(blocks)
+    teff = DEFAULT_TOL.effective(n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    u = haar_from_rng(n, rng) if draw(st.booleans()) else np.eye(n)
+    near = [1.0] + [math.sqrt(1 + sign * f * teff) for f in (0.5, 3, 20) for sign in (-1, 1)]
+    values = st.sampled_from(near) if draw(st.booleans()) else decision_point_values(teff)
+    w = np.zeros((n, n), dtype=complex)
+    for lo, b in zip(np.cumsum((0,) + blocks), blocks):
+        s = draw(st.lists(values, min_size=b, max_size=b))
+        w[lo:lo + b, lo:lo + b] = haar_from_rng(b, rng) @ np.diag(s) @ haar_from_rng(b, rng)
+    return block_units(blocks, u), u @ w @ u.conj().T
+
+
+@given(block_algebra_matrices())
+@settings(max_examples=150, deadline=None)
+def test_unitarity_verdict_matches_kadison_verdict(case):
+    """Over a unital *-subalgebra, the verdict from the unitarity defect
+    ||w*w - I|| is Kadison's verdict, scored as the band of the larger of
+    ||ww*w - w|| and the loop residual.  The two scores differ at a band
+    edge only by a factor s in [1 - 10 tol_eff, 1 + 10 tol_eff], so where
+    the verdicts differ both scores must lie within a relative 20 tol_eff
+    of the same edge.  Where the scan ran, its residual is the loop's."""
+    units, w = case
+    n = w.shape[0]
+    teff = DEFAULT_TOL.effective(n, n)
+    rep = kadison_extreme_test(w, StarAlgebraBasis(units))
+    wh = w.conj().T
+    loop = kadison_residual_by_loop(w, units)  # block units have unit norm
+    kadison = max(operator_norm(w @ wh @ w - w), loop)
+    unitarity = operator_norm(wh @ w - np.eye(n))
+    want = VERDICT_BY_BAND[DEFAULT_TOL.band(kadison, n, n)]
+    if rep.verdict is not want:
+        assert any(
+            all(abs(score - edge) <= 20 * teff * edge for score in (kadison, unitarity))
+            for edge in (teff, 10 * teff)
+        ), (rep.verdict, want, kadison, unitarity)
+    if isinstance(rep, OutsideBallReport):
+        return
+    assert (rep.kadison_residual is None) == (rep.verdict is ExtremeVerdict.EXTREME)
+    if rep.kadison_residual is not None:
+        assert rep.kadison_residual == pytest.approx(loop, abs=1e-12)
+
+
 @given(st.booleans().flatmap(lambda square: svd_built_matrices(square)))
 @settings(max_examples=150, deadline=None)
 def test_isometry_class_matches_direct_norms(a):
@@ -878,6 +940,51 @@ def test_one_svd_of_w_per_question(monkeypatch):
     calls.clear()
     contraction_mean_of_unitaries(0.5 * w)
     assert calls == [(5, 5)]
+
+
+def test_extreme_verdict_takes_no_scan(monkeypatch):
+    """Over an algebra file, a block unitary is Extreme from one SVD of w
+    and no Kadison scan, so its report has no residual and no witness; a
+    rank-deficient block partial isometry takes one norm call, on the
+    (k, n, n) stack, and names the loop oracle's witness."""
+    rng = np.random.default_rng(6)
+    units = block_units((2, 3))
+    basis = StarAlgebraBasis(units)
+    w = np.zeros((5, 5), dtype=complex)
+    w[:2, :2], w[2:, 2:] = haar_from_rng(2, rng), haar_from_rng(3, rng)
+    deficient = w.copy()
+    deficient[2:, 2:] = partial_isometry(3, 2, rng)
+    dl = np.eye(5) - deficient.conj().T @ deficient
+    dr = np.eye(5) - deficient @ deficient.conj().T
+    oracle = int(np.argmax([operator_norm(dl @ b @ dr) for b in units]))
+    calls, stacks = [], []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an Extreme verdict takes no scan")
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(extremal, "operator_norm", refused)
+    rep = kadison_extreme_test(w, basis)
+    assert rep.verdict is ExtremeVerdict.EXTREME
+    assert calls == [(5, 5)]
+    assert rep.kadison_residual is None and rep.witness_index is None
+
+    def counted_norm(a):
+        stacks.append(a.shape)
+        return operator_norm(a)
+
+    monkeypatch.setattr(extremal, "operator_norm", counted_norm)
+    calls.clear()
+    rep = kadison_extreme_test(deficient, basis)
+    assert rep.verdict is ExtremeVerdict.NOT_EXTREME
+    assert stacks == [(len(units), 5, 5)]
+    assert calls == [(5, 5), (len(units), 5, 5)]
+    assert rep.witness_index == oracle
 
 
 # ------------------------------------------- extreme <=> unitary sweep
