@@ -108,6 +108,7 @@ def _emit(report_obj: dict, summary: str, code: int) -> int:
 def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     a = ser.read_json(args.matrix, ser.matrix_from_obj)
     rows, cols = a.shape
+    algebra = {}
     if args.algebra == "full":
         basis = StarAlgebraBasis.full(rows)
     else:
@@ -116,10 +117,14 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
             basis = StarAlgebraBasis(elems, tol)
         except ValueError as exc:
             raise ser.FormatError(f"algebra file: {exc}") from exc
+        # which certificate showed the file's span closed
+        structure = basis.structure
+        closure = {"closure": "blocks", "blocks": list(structure.blocks)} if structure else {"closure": "products"}
+        algebra = {"algebra": closure}
 
     if rows != cols:
         verdict = ExtremeVerdict.INCONCLUSIVE.value
-        report = {"isometry_class": classify_isometry(a, tol).value, "verdict": verdict, "reason": "nonsquare-matrix"}
+        report = {"isometry_class": classify_isometry(a, tol).value, **algebra, "verdict": verdict, "reason": "nonsquare-matrix"}
         return report, verdict, f"{rows}x{cols} matrix is not in a matrix algebra"
 
     try:
@@ -129,7 +134,7 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     except ValueError as exc:
         # the algebra sits in another M_n, or the matrix lies outside its span
         raise ser.FormatError(str(exc)) from exc
-    report = {"isometry_class": rep.isometry_class.value, "report": ser.to_obj(rep)}
+    report = {"isometry_class": rep.isometry_class.value, **algebra, "report": ser.to_obj(rep)}
     if isinstance(rep, OutsideBallReport):
         return report, rep.verdict.value, f"norm {rep.norm:.3e} is outside the unit ball"
     detail = f"unitarity defect {rep.margin + tol.effective(rows, cols):.3e}"

@@ -11,6 +11,7 @@ non-extremeness of contractions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,6 +31,7 @@ __all__ = [
     "IsometryClass",
     "ExtremeVerdict",
     "StarAlgebraBasis",
+    "BlockStructure",
     "ExtremePointReport",
     "OutsideBallReport",
     "classify_isometry",
@@ -63,19 +65,27 @@ class StarAlgebraBasis:
     residual both read this stack, so neither depends on element scale.
     On construction (unless built by :meth:`full`, which is exact) the span
     is checked to be closed under adjoints and pairwise products and to
-    contain the identity, all within tolerance, in that order.  Complex
-    bases are accepted, and so is any sequence of matrices that numpy
-    stacks.  The SVD of the stack gives the r orthonormal rows of its span
-    (row-major vecs, kept in ``span``), on which closure is checked: their
-    adjoints as one (r, n^2) block, their r^2 products as one such block
-    per right factor, then the identity, each projected onto the span.  A
-    product of Frobenius norm at most tol_eff is not projected, since its
-    distance to the span (which holds 0) is at most its norm; for matrix
-    units that skips every product E_ij E_kl with j != k.  When every
-    element has an imaginary part of exactly zero, the whole check runs in
-    real arithmetic: the complex span of real matrices has a real
-    orthonormal basis, whose adjoints are transposes.  ``elements`` stays
-    complex either way.
+    contain the identity, all within tolerance.  Complex bases are
+    accepted, and so is any sequence of matrices that numpy stacks.  The
+    SVD of the stack gives the r orthonormal rows of its span (row-major
+    vecs, kept in ``span``), on which closure is checked.
+
+    The check first tries a block-structure certificate
+    (:class:`BlockStructure`, kept in ``structure``): in the eigenbasis Q of
+    one Hermitian element of the span, a span that is unitarily
+    M_{n_1} + ... + M_{n_b} lies within rounding of the block-diagonal
+    pattern, and then no product is formed.  Otherwise (``structure`` None:
+    multiplicities, a residual near the bound, or a malformed span) the
+    check is by products: the adjoints of the rows as one (r, n^2) block,
+    their r^2 products as one such block per right factor, then the
+    identity, each projected onto the span, in that order; only this path
+    refuses a span.  A product of Frobenius norm at most tol_eff is not
+    projected, since its distance to the span (which holds 0) is at most
+    its norm; for matrix units that skips every product E_ij E_kl with
+    j != k.  When every element has an imaginary part of exactly zero, the
+    whole check runs in real arithmetic: the complex span of real matrices
+    has a real orthonormal basis, whose adjoints are transposes.
+    ``elements`` stays complex either way.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
@@ -104,15 +114,18 @@ class StarAlgebraBasis:
         if n < 1:
             raise ValueError(f"dimension must be >= 1, got {n}")
         basis = cls.__new__(cls)
-        basis.n, basis.elements, basis.span, basis.is_full = n, None, None, True
+        basis.n, basis.elements, basis.span, basis.structure, basis.is_full = n, None, None, None, True
         return basis
 
     def _validate(self, vecs: np.ndarray, n: int, teff: float) -> None:
         _, s, vh = np.linalg.svd(vecs, full_matrices=False)
         r = int(np.count_nonzero(s > teff))
         self.span = basis = vh[:r]
-        basis_h = basis.conj().T
         units = basis.reshape(r, n, n)
+        self.structure = _block_structure(units, teff)
+        if self.structure is not None:
+            return
+        basis_h = basis.conj().T
 
         def outside_span(rows: np.ndarray) -> bool:
             """Whether any row lies farther than tol_eff from the span.
@@ -140,6 +153,97 @@ class StarAlgebraBasis:
                 raise ValueError("basis span is not closed under products")
         if outside_span(np.eye(n, dtype=basis.dtype).reshape(1, n * n)):
             raise ValueError("basis span does not contain the identity")
+
+
+@dataclass(frozen=True)
+class BlockStructure:
+    """A certificate that the span of a basis is, within tol_eff, the block
+    algebra Q (M_{n_1} + ... + M_{n_b}) Q* (see :func:`_block_structure`).
+
+    ``blocks`` lists the n_k in ascending order.  ``q`` is the unitary Q,
+    ``off`` the (n, n) mask of the entries, in Q's basis, that the block
+    pattern leaves out, and ``gap`` a bound on the sine of the largest
+    principal angle between the span and the block algebra: every element
+    Z of the block algebra lies within ``gap * ||Z||_F`` of the span.
+    """
+
+    blocks: tuple[int, ...]
+    q: np.ndarray = field(repr=False)
+    off: np.ndarray = field(repr=False)
+    gap: float
+
+
+def _rounding_allowance(n: int) -> float:
+    """Room for rounding in a bound that the block structure certifies in
+    M_n, and in the projection it stands in for: 16 n^2 eps."""
+    return 16.0 * n * n * np.finfo(np.float64).eps
+
+
+def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
+    """Certify, forming no product of two units, that the span S of the r
+    orthonormal ``units`` (an (r, n, n) stack) is closed under adjoints and
+    products and holds I, all within tol_eff; None when this cannot be shown.
+
+    Let h be the Hermitian part of sum_j c_j U_j with the fixed
+    coefficients c_j = sin j (plus i sin(j sqrt 2) for a complex stack), so
+    that the outcome repeats, and Q its eigenvectors.  For a span that is
+    unitarily M_{n_1} + ... + M_{n_b}, a generic h is block diagonal, and
+    so is each V_j = Q* U_j Q, on the classes of eigenvectors that share a
+    block.  The weight w_ab = sum_j |V_j[a, b]|^2 is the squared length of
+    the projection of the matrix unit E_ab onto Q* S Q: near 1 where the
+    span holds E_ab and near 0 where it is orthogonal to it.  Eigenvectors
+    a and b are joined when w_ab + w_ba > 1, and the joins must be the
+    classes of an equivalence (a block algebra joins every pair in a
+    block).  The pattern P, the matrices that are block diagonal on those
+    classes, is a *-algebra of dimension d = sum n_k^2 that holds I, as the
+    classes cover all n eigenvectors.  With E_j the part of V_j off the
+    pattern and eta = max_j ||E_j||_F, accept only when
+
+        d = r  and  max(2 + sqrt(r), sqrt(r n)) eta + 16 n^2 eps <= tol_eff.
+
+    Then (Frobenius norms; ||XY||_F <= ||X||_2 ||Y||_F, and ||V_j||_2 <= 1):
+
+    * a unit element Y = sum_j a_j V_j of Q* S Q (||a|| = 1) lies within
+      ||sum_j a_j E_j||_F <= sqrt(r) eta of P, so the sine of the largest
+      principal angle between Q* S Q and P is at most sqrt(r) eta.  The
+      two have the same dimension r, so every Z in P lies within
+      sqrt(r) eta ||Z||_F of Q* S Q;
+    * V_j* = (V_j - E_j)* + E_j*, with the first term in P and of norm at
+      most 1, lies within (1 + sqrt(r)) eta of Q* S Q;
+    * V_i V_j = (V_i - E_i)(V_j - E_j) + E_i (V_j - E_j) + V_i E_j, whose
+      first term lies in P with norm at most 1 and the other two have norm
+      at most eta each, lies within (2 + sqrt(r)) eta;
+    * I lies in P with ||I||_F = sqrt(n), so within sqrt(r n) eta.
+
+    Conjugation by Q keeps Frobenius distances, so the same bounds hold for
+    the units.  16 n^2 eps covers the rounding: the two GEMMs that
+    conjugate a unit (O(n^1.5 eps)), Q's departure from a unitary and the
+    units' from orthonormality (O(n eps), from LAPACK), and the projections
+    of the product check, so that an accepted span is one that check
+    accepts too.  A span with a multiplicity m_k > 1 is no multiplicity-free
+    pattern of its own dimension, so it goes to the product check, as does
+    one whose eigenvector classes h fails to separate.
+    """
+    r, n = units.shape[:2]
+    t = np.arange(1.0, r + 1)
+    c = np.sin(t) if units.dtype == np.float64 else np.sin(t) + 1j * np.sin(np.sqrt(2.0) * t)
+    x = np.tensordot(c, units, axes=1)
+    q = np.linalg.eigh(x + x.conj().T)[1]
+    v = np.matmul(q.conj().T, (units.reshape(r * n, n) @ q).reshape(r, n, n))
+    # |V_j[a, b]|^2 as an (r, n^2) block, from the real and imaginary parts
+    sq = np.square(v.view(np.float64)).reshape(r, n * n, v.itemsize // 8).sum(axis=2)
+    weight = sq.sum(axis=0).reshape(n, n)
+    pattern = (weight + weight.T > 1.0) | np.eye(n, dtype=bool)
+    # the joins must already be an equivalence, as block units join every pair in a block
+    if np.count_nonzero(pattern) != r or not np.array_equal(pattern.astype(np.float64) @ pattern > 0, pattern):
+        return None
+    off = ~pattern
+    eta = math.sqrt(float(np.max(sq @ off.ravel())))
+    if max(2.0 + math.sqrt(r), math.sqrt(r * n)) * eta + _rounding_allowance(n) > teff:
+        return None
+    # each eigenvector's class is named by its first member
+    sizes = np.bincount(pattern.argmax(axis=1))
+    return BlockStructure(tuple(sorted(int(b) for b in sizes if b)), q, off, math.sqrt(r) * eta)
 
 
 @dataclass(frozen=True)
@@ -222,6 +326,27 @@ def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryCl
     return IsometryClass.NONE
 
 
+def _inside_blocks(w: np.ndarray, s: np.ndarray, structure: BlockStructure | None, teff: float) -> bool:
+    """Whether the block structure of the span shows ``w`` (with singular
+    values ``s``) within tol_eff of the span, with no projection onto it.
+
+    In Q's basis, w's distance to the block algebra is the norm of its
+    off-pattern part, and the part on the pattern, of Frobenius norm at most
+    ||w||_F = ||s||, lies within ``gap * ||s||`` of the span.  A sum above
+    tol_eff, or one that does not come out finite, shows nothing: the
+    caller then projects as for a span with no structure.
+    """
+    if structure is None:
+        return False
+    q = structure.q
+    # at a tolerance far above 1, a w far outside the ball may overflow here;
+    # the projection then meets it as it would with no structure
+    with np.errstate(all="ignore"):
+        off = np.linalg.norm((q.conj().T @ w @ q)[structure.off])
+        bound = off + structure.gap * np.linalg.norm(s) + _rounding_allowance(len(q))
+    return bool(bound <= teff)
+
+
 def kadison_extreme_test(
     w: np.ndarray,
     basis: StarAlgebraBasis,
@@ -234,10 +359,14 @@ def kadison_extreme_test(
     :class:`OutsideBallReport` before ``I - w*w`` is formed, which may
     overflow.  Any other ``w`` farther than tol_eff from the span of the
     basis (Frobenius distance, the closure check's rule) is not in the
-    algebra: ValueError.  The basis spans a unital *-subalgebra, where
-    Kadison's criterion is unitarity, so the verdict is the band applied to
-    the unitarity defect ``max |s^2 - 1|``: Extreme up to tol_eff,
-    NotExtreme beyond ten times it, Inconclusive in the decade between.
+    algebra: ValueError.  Over a basis with a :class:`BlockStructure`, the
+    distance is first bounded from the block pattern, and ``w`` is
+    projected onto the span only when that bound exceeds tol_eff, so a
+    refusal names the projected distance.  The basis spans a unital
+    *-subalgebra, where Kadison's criterion is unitarity, so the verdict is
+    the band applied to the unitarity defect ``max |s^2 - 1|``: Extreme up
+    to tol_eff, NotExtreme beyond ten times it, Inconclusive in the decade
+    between.
     The partial-isometry defect, the projection defects and the isometry
     class come from the same singular values.  Only a ``w`` that is not
     Extreme gets the Kadison residual ``max_k ||(I - w*w) B_k (I - ww*)||``
@@ -256,7 +385,7 @@ def kadison_extreme_test(
     if tol.band(float(s[0]) - 1.0, n, n) is Band.FAIL:
         return OutsideBallReport(norm=float(s[0]))
     teff = tol.effective(n, n)
-    if not basis.is_full:
+    if not basis.is_full and not _inside_blocks(w, s, basis.structure, teff):
         x = w.reshape(n * n, 1)
         if basis.span.dtype == np.float64:  # project the real and imaginary parts as two columns
             x = x.view(np.float64)

@@ -228,6 +228,31 @@ def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
     assert (obj["report"]["kadison_residual"], obj["report"]["witness_index"]) == (None, None)
 
 
+def test_check_extreme_reports_which_closure_certificate_held(tmp_path, capsys):
+    """Beside the isometry class, a report over an algebra file names the
+    certificate that showed the file's span closed: the block sizes for the
+    units of M_2 + M_3 rotated by a unitary, "products" for {A (x) I_2}
+    over the units of M_2, which no multiplicity-free pattern fits, also
+    for a non-square W.  Over the full algebra there is no file and no key."""
+    rng = np.random.default_rng(9)
+    u = haar_from_rng(5, rng)
+    rotated = [u @ matrix_unit(5, i, j) @ u.conj().T for lo, hi in ((0, 2), (2, 5)) for i in range(lo, hi) for j in range(lo, hi)]
+    w = np.zeros((5, 5), dtype=complex)
+    w[:2, :2], w[2:, 2:] = haar_from_rng(2, rng), haar_from_rng(3, rng)
+    mpath = write_matrix(tmp_path, "w.json", u @ w @ u.conj().T)
+    code, obj, err = run_json(capsys, "check-extreme", mpath, "--algebra", write_algebra(tmp_path, "rot.json", rotated))
+    assert (code, obj["report"]["verdict"]) == (EXIT_OK, "Extreme"), err
+    assert list(obj) == ["isometry_class", "algebra", "report", "run"]
+    assert obj["algebra"] == {"closure": "blocks", "blocks": [2, 3]}
+    doubled = write_algebra(tmp_path, "doubled.json", [np.kron(matrix_unit(2, i, j), np.eye(2)) for i in range(2) for j in range(2)])
+    code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "eye.json", np.eye(4)), "--algebra", doubled)
+    assert (code, obj["algebra"]) == (EXIT_OK, {"closure": "products"}), err
+    code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "wide.json", np.ones((4, 2))), "--algebra", doubled)
+    assert (code, obj["reason"], obj["algebra"]) == (EXIT_INCONCLUSIVE, "nonsquare-matrix", {"closure": "products"}), err
+    code, obj, err = run_json(capsys, "check-extreme", mpath)
+    assert code == EXIT_OK and "algebra" not in obj, err
+
+
 def test_check_extreme_takes_one_svd_of_w(tmp_path, capsys, monkeypatch):
     """A square W's isometry class comes from the SVD the Kadison test
     takes; a non-square W is classified on its own, with one SVD too."""

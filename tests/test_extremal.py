@@ -4,6 +4,7 @@ reconstruction."""
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -371,11 +372,11 @@ def test_block_algebra_closure_property(blocks, index, factor, real, seed):
     assert closure_message(moved) == _CLOSURE_MESSAGES[failure]
 
 
-def projected_product_rows(elements, monkeypatch):
-    """The rows StarAlgebraBasis(elements) projects, as (adjoint rows,
-    product rows per right factor, identity rows), read off the residual
-    blocks handed to np.linalg.norm after the first call, which takes the
-    norms of the elements themselves."""
+def projected_rows(elements, monkeypatch):
+    """The number of rows StarAlgebraBasis(elements) projects onto its span
+    in each call, in order (adjoints, products per right factor, identity),
+    read off the residual blocks handed to np.linalg.norm after the first
+    call, which takes the norms of the elements themselves."""
     rows = []
     norm = np.linalg.norm
 
@@ -386,21 +387,107 @@ def projected_product_rows(elements, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     StarAlgebraBasis(elements)
     monkeypatch.setattr(np.linalg, "norm", norm)
-    return rows[1], rows[2:-1], rows[-1]
+    return rows[1:]
 
 
 def test_closure_projects_only_nonzero_products(monkeypatch):
-    """For the (3, 5, 8) block units (r = 98) the closure check projects the
-    98 adjoints, one block of products per right factor and the identity.
-    Of the r^2 = 9,604 products E_ij E_kl only those with j = k are nonzero,
-    sum(b^3) = 664 of them; rotated by a unitary, every product is dense
-    and all 9,604 are projected."""
-    units = block_units((3, 5, 8))
-    adjoints, products, identity = projected_product_rows(units, monkeypatch)
-    assert (adjoints, len(products), sum(products), identity) == (98, 98, 664, 1)
-    rotated = block_units((3, 5, 8), haar_unitary(16, 7))
-    adjoints, products, identity = projected_product_rows(rotated, monkeypatch)
-    assert (adjoints, len(products), sum(products), identity) == (98, 98, 98 * 98, 1)
+    """The (3, 5, 8) block units (r = 98), unrotated or rotated by a
+    unitary, are certified from their block structure: no product is
+    formed and no row is projected.  With multiplicity 2 (E_ij (x) I_2,
+    n = 32) no multiplicity-free pattern fits, and the product check
+    projects the 98 adjoints, then per right factor E_kl (in a block of
+    size b) only the b nonzero products E_ik E_kl, sum(b^3) = 664 of the
+    r^2 = 9,604, then the identity."""
+    for u in (None, haar_unitary(16, 7)):
+        units = block_units((3, 5, 8), u)
+        assert projected_rows(units, monkeypatch) == []
+        assert StarAlgebraBasis(units).structure.blocks == (3, 5, 8)
+    doubled = [np.kron(e, np.eye(2)) for e in block_units((3, 5, 8))]
+    rows = projected_rows(doubled, monkeypatch)
+    assert rows == [98] + [b for b in (3, 5, 8) for _ in range(b * b)] + [1]
+    assert sum(rows[1:-1]) == 664
+    assert StarAlgebraBasis(doubled).structure is None
+
+
+@st.composite
+def closure_stacks(draw):
+    """(kind, blocks, elements): the units of a block algebra (the block
+    sizes of test_block_algebra_closure_property), unrotated or conjugated
+    by a Haar unitary, as they are ("units"), with multiplicity 2, E_ij (x)
+    I_2 ("doubled"), with one unit dropped ("dropped"), or with one element
+    moved by factor * tol_eff along a unit direction orthogonal to the span
+    ("moved")."""
+    blocks = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8)
+    )
+    kind = draw(st.sampled_from(["units", "doubled", "dropped", "moved"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    units = block_units(blocks)
+    if kind == "doubled":
+        units = [np.kron(e, np.eye(2)) for e in units]
+    n, k = units[0].shape[0], len(units)
+    if draw(st.booleans()):
+        u = haar_from_rng(n, rng)
+        units = [u @ e @ u.conj().T for e in units]
+    if kind == "dropped":
+        assume(k > 1)
+        del units[draw(st.integers(0, k - 1))]
+    elif kind == "moved":
+        assume(k < n * n)
+        rows = np.array([e.flatten() for e in units])
+        g = complex_gaussian(n * n, 1, rng)[:, 0]
+        # the units are orthonormal in the Frobenius inner product
+        g -= rows.T @ (rows.conj() @ g)
+        index = draw(st.integers(0, k - 1))
+        factor = draw(st.floats(10.0, 1e4))
+        units[index] = units[index] + factor * DEFAULT_TOL.effective(n, n) * (g / np.linalg.norm(g)).reshape(n, n)
+    return kind, tuple(blocks), units
+
+
+@given(closure_stacks())
+@settings(max_examples=120, deadline=None)
+def test_block_structure_agrees_with_the_product_check(case):
+    """The block-structure certificate and the product check, forced by
+    taking the certificate away, give every stack the same outcome and
+    message.  Block units, rotated or not, are certified with their block
+    sizes; multiplicity 2 is accepted by the product check alone; a dropped
+    unit or a moved element is refused."""
+    kind, blocks, elements = case
+    message = closure_message(elements)
+    with mock.patch.object(extremal, "_block_structure", return_value=None):
+        assert closure_message(elements) == message
+    if kind in ("units", "doubled"):
+        assert message is None
+        structure = StarAlgebraBasis(elements).structure
+        assert (structure.blocks if structure else None) == (tuple(sorted(blocks)) if kind == "units" else None)
+    else:
+        assert message is not None
+
+
+def test_membership_from_the_block_structure():
+    """Over a certified basis, a W of the algebra is accepted from its part
+    off the block pattern in Q's basis, with no projection onto the span.
+    A W off the span is refused with the projection's distance, the same
+    message as for a basis without the structure."""
+    rng = np.random.default_rng(11)
+    u = haar_from_rng(16, rng)
+    basis = StarAlgebraBasis(block_units((3, 5, 8), u))
+    assert basis.structure.blocks == (3, 5, 8)
+    w = np.zeros((16, 16), dtype=complex)
+    for lo, b in ((0, 3), (3, 5), (8, 8)):
+        w[lo:lo + b, lo:lo + b] = haar_from_rng(b, rng)
+    w = u @ w @ u.conj().T
+    span = basis.span
+    basis.span = None  # a projection would fail on it
+    assert kadison_extreme_test(w, basis).verdict is ExtremeVerdict.EXTREME
+    basis.span = span
+    moved = 0.5 * w + 1e-3 * u @ matrix_unit(16, 0, 15) @ u.conj().T
+    with pytest.raises(ValueError, match="lies 1.000e-03 from the algebra's span") as certified:
+        kadison_extreme_test(moved, basis)
+    basis.structure = None
+    with pytest.raises(ValueError) as projected:
+        kadison_extreme_test(moved, basis)
+    assert str(certified.value) == str(projected.value)
 
 
 def test_basis_memory_stays_near_the_element_stack():
