@@ -66,9 +66,24 @@ class StarAlgebraBasis:
     On construction (unless built by :meth:`full`, which is exact) the span
     is checked to be closed under adjoints and pairwise products and to
     contain the identity, all within tolerance.  Complex bases are
-    accepted, and so is any sequence of matrices that numpy stacks.  The
-    SVD of the stack gives the r orthonormal rows of its span (row-major
-    vecs, kept in ``span``), on which closure is checked.
+    accepted, and so is any sequence of matrices that numpy stacks.
+    Closure is checked on r orthonormal rows of the span (row-major vecs,
+    kept in ``span``).  When k <= n^2, tol_eff < sqrt(1 - delta) and the
+    Gram matrix G of the scaled rows has ||G - I||_F <= delta = 8 n eps,
+    as for matrix units or units conjugated by a unitary, the rows are
+    their own orthonormal basis with r = k, which is what the SVD would
+    give: the squared singular values of the stack are G's eigenvalues,
+    all within delta of 1, so none is at most tol_eff.  Such rows stand in
+    for LAPACK's: with rows B, B*B is within ||G - I||_F of the projection
+    onto the span, and LAPACK's rows depart from orthonormal by O(n eps)
+    too (up to 6 n eps in Frobenius norm on Haar-rotated block units up to
+    n = 64, whose own G is within 2.4 n eps of I), which the rounding
+    allowance of :func:`_block_structure` covers.  If the block structure
+    below certifies them, no SVD runs.  Any other stack (an element listed
+    twice, a zero element, a general spanning set, more than n^2 elements,
+    a tolerance near 1, or orthonormal rows the certificate does not take)
+    takes one SVD, whose rows of singular value above tol_eff are the
+    basis, and the check continues on them.
 
     The check first tries a block-structure certificate
     (:class:`BlockStructure`, kept in ``structure``): in the eigenbasis Q of
@@ -118,7 +133,20 @@ class StarAlgebraBasis:
         return basis
 
     def _validate(self, vecs: np.ndarray, n: int, teff: float) -> None:
-        _, s, vh = np.linalg.svd(vecs, full_matrices=False)
+        rows = vecs.copy()  # contiguous: a real stack is a strided view of ``elements``
+        k = len(rows)
+        delta = _gram_allowance(n)
+        # more than n^2 rows are never orthonormal, and their Gram matrix outgrows the stack
+        if k <= n * n and teff < math.sqrt(1.0 - delta):
+            defect = rows @ rows.conj().T  # G - I, with G the Gram matrix of the rows
+            defect.flat[:: k + 1] -= 1.0
+            flat = defect.view(np.float64).ravel()
+            if np.dot(flat, flat) <= delta * delta:
+                structure = _block_structure(rows.reshape(k, n, n), teff)
+                if structure is not None:
+                    self.span, self.structure = rows, structure
+                    return
+        _, s, vh = np.linalg.svd(rows, full_matrices=False)
         r = int(np.count_nonzero(s > teff))
         self.span = basis = vh[:r]
         units = basis.reshape(r, n, n)
@@ -179,14 +207,25 @@ def _rounding_allowance(n: int) -> float:
     return 16.0 * n * n * np.finfo(np.float64).eps
 
 
+def _gram_allowance(n: int) -> float:
+    """The largest ||G - I||_F, G the Gram matrix of the scaled rows of a
+    (k, n, n) stack, at which the rows are taken as the orthonormal basis
+    of their span: 8 n eps, no more than LAPACK's rows depart from
+    orthonormal (see :class:`StarAlgebraBasis`)."""
+    return 8.0 * n * np.finfo(np.float64).eps
+
+
 def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     """Certify, forming no product of two units, that the span S of the r
     orthonormal ``units`` (an (r, n, n) stack) is closed under adjoints and
     products and holds I, all within tol_eff; None when this cannot be shown.
 
     Let h be the Hermitian part of sum_j c_j U_j with the fixed
-    coefficients c_j = sin j (plus i sin(j sqrt 2) for a complex stack), so
-    that the outcome repeats, and Q its eigenvectors.  For a span that is
+    coefficients c_j = sin j^2 (plus i sin(j^2 sqrt 2) for a complex
+    stack), so that the outcome repeats, and Q its eigenvectors.  The phase
+    must not be linear in j: on matrix units in file order, sin j would give
+    the real part C_ab = sin(n a + b + 1), a matrix of rank 2, whose
+    repeated eigenvalues let Q mix the blocks.  For a span that is
     unitarily M_{n_1} + ... + M_{n_b}, a generic h is block diagonal, and
     so is each V_j = Q* U_j Q, on the classes of eigenvectors that share a
     block.  The weight w_ab = sum_j |V_j[a, b]|^2 is the squared length of
@@ -217,21 +256,23 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
 
     Conjugation by Q keeps Frobenius distances, so the same bounds hold for
     the units.  16 n^2 eps covers the rounding: the two GEMMs that
-    conjugate a unit (O(n^1.5 eps)), Q's departure from a unitary and the
-    units' from orthonormality (O(n eps), from LAPACK), and the projections
-    of the product check, so that an accepted span is one that check
-    accepts too.  A span with a multiplicity m_k > 1 is no multiplicity-free
+    conjugate a unit (O(n^1.5 eps)), Q's departure from a unitary (O(n eps),
+    from LAPACK), the units' departure from orthonormality, which scales
+    the bounds above by 1 + O(n eps) (LAPACK's rows, or a file's own rows
+    within :func:`_gram_allowance` of orthonormal), and the projections of
+    the product check, so that an accepted span is one that check accepts
+    too.  A span with a multiplicity m_k > 1 is no multiplicity-free
     pattern of its own dimension, so it goes to the product check, as does
     one whose eigenvector classes h fails to separate.
     """
     r, n = units.shape[:2]
-    t = np.arange(1.0, r + 1)
+    t = np.square(np.arange(1.0, r + 1))
     c = np.sin(t) if units.dtype == np.float64 else np.sin(t) + 1j * np.sin(np.sqrt(2.0) * t)
     x = np.tensordot(c, units, axes=1)
     q = np.linalg.eigh(x + x.conj().T)[1]
     v = np.matmul(q.conj().T, (units.reshape(r * n, n) @ q).reshape(r, n, n))
-    # |V_j[a, b]|^2 as an (r, n^2) block, from the real and imaginary parts
-    sq = np.square(v.view(np.float64)).reshape(r, n * n, v.itemsize // 8).sum(axis=2)
+    # |V_j[a, b]|^2 as an (r, n^2) block
+    sq = (np.square(v) if v.dtype == np.float64 else np.square(v.real) + np.square(v.imag)).reshape(r, n * n)
     weight = sq.sum(axis=0).reshape(n, n)
     pattern = (weight + weight.T > 1.0) | np.eye(n, dtype=bool)
     # the joins must already be an equivalence, as block units join every pair in a block

@@ -464,6 +464,115 @@ def test_block_structure_agrees_with_the_product_check(case):
         assert message is not None
 
 
+def scaled_gram_defect(stack):
+    """||G - I||_F for the Gram matrix G of a stack's elements scaled as
+    StarAlgebraBasis scales them (over the largest real or imaginary part,
+    then over the norm), in real arithmetic when no element has an
+    imaginary part."""
+    rows = np.array(stack, dtype=np.complex128).reshape(len(stack), -1)
+    if not rows.imag.any():
+        rows = rows.real
+    rows = rows / np.abs(rows.view(np.float64)).max(axis=1)[:, None]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return float(np.linalg.norm(rows @ rows.conj().T - np.eye(len(rows))))
+
+
+@st.composite
+def spanning_sets(draw):
+    """(blocks, dropped, mix, units, other): the units of a block algebra (the
+    block sizes of test_block_algebra_closure_property), real or conjugated
+    by a Haar unitary, as they are or with one unit dropped, and a second
+    stack with the same span.  That is the units mixed by a random k x k
+    matrix with singular values in [1, 10] ("mixed"), or by I + s H, with H
+    Hermitian with zero diagonal and s set so that ||G - I||_F of the
+    scaled rows is 0.8 ("inside") or 1.25 ("outside") times the allowance
+    under which the rows are taken as the span's orthonormal basis."""
+    blocks = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda b: sum(b) <= 8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    units = block_units(blocks)
+    n = sum(blocks)
+    if draw(st.booleans()):
+        u = haar_from_rng(n, rng)
+        units = [u @ e @ u.conj().T for e in units]
+    dropped = draw(st.booleans())
+    if dropped:
+        assume(len(units) > 1)
+        del units[draw(st.integers(0, len(units) - 1))]
+    mix = draw(st.sampled_from(["mixed", "inside", "outside"]))
+    k = len(units)
+    assume(k > 1)  # one element mixed is one element rescaled
+    real = not np.array(units).imag.any()
+
+    def gaussian():
+        return rng.standard_normal((k, k)) if real else complex_gaussian(k, k, rng)
+
+    stack = np.array(units)
+    if mix == "mixed":
+        x, y = np.linalg.qr(gaussian())[0], np.linalg.qr(gaussian())[0]
+        other = np.tensordot((x * rng.uniform(1.0, 10.0, k)) @ y, stack, axes=1)
+    else:
+        h = gaussian()
+        h += h.conj().T
+        np.fill_diagonal(h, 0.0)
+        h /= np.linalg.norm(h)
+        target = (0.8 if mix == "inside" else 1.25) * extremal._gram_allowance(n)
+        # G - I is about 2 s H, plus the rounding of the units' own Gram matrix
+        scale = target / 2
+        for _ in range(3):
+            other = stack + scale * np.tensordot(h, stack, axes=1)
+            scale *= target / scaled_gram_defect(other)
+        other = stack + scale * np.tensordot(h, stack, axes=1)
+        # at n = 2 the rounding of G is a tenth of the allowance, and may leave it off target
+        assume(abs(scaled_gram_defect(other) / target - 1.0) < 0.15)
+    return tuple(blocks), dropped, mix, units, list(other)
+
+
+@given(spanning_sets())
+@settings(max_examples=150, deadline=None)
+def test_orthonormal_rows_and_the_svd_give_one_algebra(case):
+    """A block algebra built from its units, which are their own orthonormal
+    basis and take no SVD, and from another spanning set of the same span,
+    which takes one SVD unless its Gram matrix is within the allowance of
+    I, gets the same outcome, message and block structure (so the same
+    closure key), and spans whose projectors agree to 16 n eps.  With a
+    unit dropped, both are refused by the product check, which runs on the
+    rows of one SVD."""
+    blocks, dropped, mix, units, other = case
+    n = sum(blocks)
+    built = []
+    for stack in (units, other):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            try:
+                basis, message = StarAlgebraBasis(stack), None
+            except ValueError as exc:
+                basis, message = None, str(exc)
+        built.append((basis, message, svd.call_count))
+    (basis, message, svds), (other_basis, other_message, other_svds) = built
+    assert (svds, other_svds) == ((1, 1) if dropped else (0, 0 if mix == "inside" else 1))
+    assert message == other_message
+    assert (message is not None) == dropped
+    if dropped:
+        return
+    assert basis.structure.blocks == other_basis.structure.blocks == tuple(sorted(blocks))
+    projector, other_projector = (b.span.conj().T @ b.span for b in (basis, other_basis))
+    assert np.linalg.norm(projector - other_projector) <= 16 * n * np.finfo(np.float64).eps
+
+
+def test_rotated_units_in_file_order_are_certified_without_an_svd():
+    """U (M_16 + M_16) U* (n = 32, k = 512), its units listed block by
+    block and row by row, is its own orthonormal basis and is certified
+    from its block structure: no SVD runs.  Coefficients with a phase
+    linear in the row index (sin j) give, on such rows, an element whose
+    eigenvalues repeat, and the span would go on to the SVD."""
+    units = block_units((16, 16), haar_unitary(32, 33))
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        basis = StarAlgebraBasis(units)
+    assert svd.call_count == 0
+    assert basis.structure.blocks == (16, 16)
+
+
 def test_membership_from_the_block_structure():
     """Over a certified basis, a W of the algebra is accepted from its part
     off the block pattern in Q's basis, with no projection onto the span.
@@ -598,8 +707,11 @@ def test_real_basis_closure_matches_complex_arithmetic(algebra, index, factor, s
 
 
 def test_basis_is_checked_in_real_arithmetic_only_when_real(monkeypatch):
-    """The closure SVD sees float64 exactly when no element has a nonzero
-    imaginary part; the elements are kept as complex128 either way."""
+    """The span is float64 exactly when no element has a nonzero imaginary
+    part; the elements are kept as complex128 either way.  An orthonormal
+    stack is its own span and takes no SVD; one that is not (an element
+    listed twice, a zero element, one element replaced by the sum of two)
+    takes one SVD, in the span's arithmetic."""
     dtypes = []
     svd = np.linalg.svd
 
@@ -616,10 +728,34 @@ def test_basis_is_checked_in_real_arithmetic_only_when_real(monkeypatch):
         ([1j * e for e in units], np.complex128),
         (tiny, np.complex128),
     ):
-        dtypes.clear()
-        basis = StarAlgebraBasis(elements)
-        assert dtypes == [dtype]
-        assert basis.elements.dtype == np.complex128
+        for stack, svds in (
+            (elements, []),
+            (elements + elements[2:3], [dtype]),
+            (elements + [0 * elements[0]], [dtype]),
+            (elements[:1] + [elements[1] + elements[2]] + elements[2:], [dtype]),
+        ):
+            dtypes.clear()
+            basis = StarAlgebraBasis(stack)
+            assert dtypes == svds
+            assert basis.span.dtype == dtype
+            assert basis.span.shape == (len(units), 36)
+            assert basis.elements.dtype == np.complex128
+
+
+def test_basis_of_more_elements_than_n_squared_forms_no_gram_matrix():
+    """4,000 elements in M_2 (the units of C + C, each listed 2,000 times)
+    cannot be orthonormal: the basis takes the SVD straight away, and its
+    peak stays near the stack, not at the k x k Gram matrix (128 MB)."""
+    units = np.array(block_units((1, 1)))
+    stack = np.repeat(units, 2000, axis=0)
+    tracemalloc.start()
+    try:
+        basis = StarAlgebraBasis(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.span.shape == (2, 4)
+    assert peak <= 10 * stack.nbytes
 
 
 def test_real_basis_memory_stays_within_five_complex_stacks():
