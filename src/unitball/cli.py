@@ -35,7 +35,8 @@ import time
 import numpy as np
 
 from . import __version__, serialize as ser
-from .extremal import ExtremeVerdict, OutsideBallReport, StarAlgebraBasis, classify_isometry, kadison_extreme_test
+from .extremal import ExtremeVerdict, InconclusiveClosure, OutsideBallReport, StarAlgebraBasis
+from .extremal import classify_isometry, kadison_extreme_test
 from .gen import InstanceKind, InstanceSpec, generate
 from .linalg import Band, Tolerance
 from .preserver import PreserverVerdict, classify_preserver, identity_residuals
@@ -108,24 +109,31 @@ def _emit(report_obj: dict, summary: str, code: int) -> int:
 def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     a = ser.read_json(args.matrix, ser.matrix_from_obj)
     rows, cols = a.shape
-    algebra = {}
+    algebra, undecided = {}, None
     if args.algebra == "full":
         basis = StarAlgebraBasis.full(rows)
     else:
         _, elems = ser.read_json(args.algebra, ser.algebra_elements_from_obj)
         try:
             basis = StarAlgebraBasis(elems, tol)
+        except InconclusiveClosure as exc:
+            algebra = {"algebra": {"closure": "in-band", "bound": exc.bound, "threshold": exc.threshold}}
+            undecided = "closure-in-band", f"algebra file: {exc}"
         except ValueError as exc:
             raise ser.FormatError(f"algebra file: {exc}") from exc
-        # which certificate showed the file's span closed
-        structure = basis.structure
-        closure = {"closure": "blocks", "blocks": list(structure.blocks)} if structure else {"closure": "products"}
-        algebra = {"algebra": closure}
+        else:
+            # the block structure that showed the file's span closed
+            structure = basis.structure
+            algebra = {"algebra": {"closure": "blocks", "blocks": list(structure.blocks)}}
+            if max(structure.multiplicities) > 1:
+                algebra["algebra"]["multiplicities"] = list(structure.multiplicities)
 
-    if rows != cols:
+    if rows != cols and not undecided:
+        undecided = "nonsquare-matrix", f"{rows}x{cols} matrix is not in a matrix algebra"
+    if undecided:
         verdict = ExtremeVerdict.INCONCLUSIVE.value
-        report = {"isometry_class": classify_isometry(a, tol).value, **algebra, "verdict": verdict, "reason": "nonsquare-matrix"}
-        return report, verdict, f"{rows}x{cols} matrix is not in a matrix algebra"
+        report = {"isometry_class": classify_isometry(a, tol).value, **algebra, "verdict": verdict, "reason": undecided[0]}
+        return report, verdict, undecided[1]
 
     try:
         rep = kadison_extreme_test(a, basis, tol)

@@ -32,6 +32,7 @@ __all__ = [
     "ExtremeVerdict",
     "StarAlgebraBasis",
     "BlockStructure",
+    "InconclusiveClosure",
     "ExtremePointReport",
     "OutsideBallReport",
     "classify_isometry",
@@ -55,52 +56,38 @@ class ExtremeVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+class InconclusiveClosure(Exception):
+    """A span that :class:`StarAlgebraBasis` neither certifies nor refuses:
+    ``bound``, the largest of :func:`_refute`'s lower bounds, does not
+    exceed ``threshold``, 10 tol_eff plus the rounding allowance."""
+
+    def __init__(self, bound: float, threshold: float):
+        super().__init__(f"span neither certified nor refuted: closure residual bound {bound:.3e} within {threshold:.3e}")
+        self.bound, self.threshold = float(bound), float(threshold)
+
+
 class StarAlgebraBasis:
     """A (k, n, n) stack of matrices spanning a *-subalgebra of M_n.
 
-    The basis keeps one read-only complex128 copy of the stack in
-    ``elements``, each element divided by its largest real or imaginary
-    part (so that no norm overflows), then by its Frobenius norm; one of
-    norm at most tol_eff is kept as zero.  The closure check and the Kadison
-    residual both read this stack, so neither depends on element scale.
-    On construction (unless built by :meth:`full`, which is exact) the span
-    is checked to be closed under adjoints and pairwise products and to
-    contain the identity, all within tolerance.  Complex bases are
-    accepted, and so is any sequence of matrices that numpy stacks.
-    Closure is checked on r orthonormal rows of the span (row-major vecs,
-    kept in ``span``).  When k <= n^2, tol_eff < sqrt(1 - delta) and the
-    Gram matrix G of the scaled rows has ||G - I||_F <= delta = 8 n eps,
-    as for matrix units or units conjugated by a unitary, the rows are
-    their own orthonormal basis with r = k, which is what the SVD would
-    give: the squared singular values of the stack are G's eigenvalues,
-    all within delta of 1, so none is at most tol_eff.  Such rows stand in
-    for LAPACK's: with rows B, B*B is within ||G - I||_F of the projection
-    onto the span, and LAPACK's rows depart from orthonormal by O(n eps)
-    too (up to 6 n eps in Frobenius norm on Haar-rotated block units up to
-    n = 64, whose own G is within 2.4 n eps of I), which the rounding
-    allowance of :func:`_block_structure` covers.  If the block structure
-    below certifies them, no SVD runs.  Any other stack (an element listed
-    twice, a zero element, a general spanning set, more than n^2 elements,
-    a tolerance near 1, or orthonormal rows the certificate does not take)
-    takes one SVD, whose rows of singular value above tol_eff are the
-    basis, and the check continues on them.
+    Any sequence of matrices that numpy stacks is taken, and one read-only
+    complex128 copy kept in ``elements``, each element divided by its
+    largest real or imaginary part (so that no norm overflows), then by its
+    Frobenius norm; one of norm at most tol_eff is kept as zero.  The
+    closure check and the Kadison residual both read this stack, so neither
+    depends on element scale.  A stack with no nonzero imaginary part is
+    checked in real arithmetic, on a real orthonormal basis of its span.
 
-    The check first tries a block-structure certificate
-    (:class:`BlockStructure`, kept in ``structure``): in the eigenbasis Q of
-    one Hermitian element of the span, a span that is unitarily
-    M_{n_1} + ... + M_{n_b} lies within rounding of the block-diagonal
-    pattern, and then no product is formed.  Otherwise (``structure`` None:
-    multiplicities, a residual near the bound, or a malformed span) the
-    check is by products: the adjoints of the rows as one (r, n^2) block,
-    their r^2 products as one such block per right factor, then the
-    identity, each projected onto the span, in that order; only this path
-    refuses a span.  A product of Frobenius norm at most tol_eff is not
-    projected, since its distance to the span (which holds 0) is at most
-    its norm; for matrix units that skips every product E_ij E_kl with
-    j != k.  When every element has an imaginary part of exactly zero, the
-    whole check runs in real arithmetic: the complex span of real matrices
-    has a real orthonormal basis, whose adjoints are transposes.
-    ``elements`` stays complex either way.
+    On construction (unless built by :meth:`full`, which is exact) the span
+    is judged on r orthonormal rows (row-major vecs, kept in ``span``).
+    When k <= n^2, tol_eff < sqrt(1 - delta) and the Gram matrix G of the
+    scaled rows has ||G - I||_F <= delta = 8 n eps, as for rotated matrix
+    units, the rows are their own basis with r = k, as the SVD would find
+    (its squared singular values are G's eigenvalues), no farther from
+    orthonormal than LAPACK's rows.  Any other stack takes one SVD, whose
+    rows of singular value above tol_eff are the basis.  The span is
+    accepted only by its block structure (``structure``, see
+    :func:`_block_structure`), whose bounds hold for the span, not for one
+    basis of it; any other span is judged on the band by :func:`_refute`.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
@@ -136,68 +123,38 @@ class StarAlgebraBasis:
         rows = vecs.copy()  # contiguous: a real stack is a strided view of ``elements``
         k = len(rows)
         delta = _gram_allowance(n)
+        orthonormal = False
         # more than n^2 rows are never orthonormal, and their Gram matrix outgrows the stack
         if k <= n * n and teff < math.sqrt(1.0 - delta):
             defect = rows @ rows.conj().T  # G - I, with G the Gram matrix of the rows
             defect.flat[:: k + 1] -= 1.0
             flat = defect.view(np.float64).ravel()
-            if np.dot(flat, flat) <= delta * delta:
-                structure = _block_structure(rows.reshape(k, n, n), teff)
-                if structure is not None:
-                    self.span, self.structure = rows, structure
-                    return
-        _, s, vh = np.linalg.svd(rows, full_matrices=False)
-        r = int(np.count_nonzero(s > teff))
-        self.span = basis = vh[:r]
-        units = basis.reshape(r, n, n)
+            orthonormal = np.dot(flat, flat) <= delta * delta
+        if not orthonormal:
+            _, s, vh = np.linalg.svd(rows, full_matrices=False)
+            rows = vh[: int(np.count_nonzero(s > teff))]
+        self.span = rows
+        units = rows.reshape(len(rows), n, n)
         self.structure = _block_structure(units, teff)
-        if self.structure is not None:
-            return
-        basis_h = basis.conj().T
-
-        def outside_span(rows: np.ndarray) -> bool:
-            """Whether any row lies farther than tol_eff from the span.
-
-            A row of norm at most tol_eff is not projected: its residual is
-            at most its norm, as 0 lies in the span.  Overwrites ``rows``
-            with their residuals.
-            """
-            flat = rows.view(np.float64)
-            keep = np.einsum("ij,ij->i", flat, flat) > teff * teff
-            if not keep.all():
-                rows = rows[keep]
-            rows -= (rows @ basis_h) @ basis
-            # a span of rank 0 leaves no rows to check but the identity
-            return bool(np.max(np.linalg.norm(rows, axis=1), initial=0.0) > teff)
-
-        # np.conj allocates: a real units.conj() is units itself, and at n = 1
-        # the reshape would then be a view that outside_span overwrites
-        if outside_span(np.conj(units.transpose(0, 2, 1)).reshape(r, n * n)):
-            raise ValueError("basis span is not closed under adjoints")
-        stacked = units.reshape(r * n, n)
-        for b in units:
-            # row block j is units[j] @ b
-            if outside_span((stacked @ b).reshape(r, n * n)):
-                raise ValueError("basis span is not closed under products")
-        if outside_span(np.eye(n, dtype=basis.dtype).reshape(1, n * n)):
-            raise ValueError("basis span does not contain the identity")
+        if self.structure is None:
+            _refute(units, teff)
 
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """A certificate that the span of a basis is, within tol_eff, the block
-    algebra Q (M_{n_1} + ... + M_{n_b}) Q* (see :func:`_block_structure`).
-
-    ``blocks`` lists the n_k in ascending order.  ``q`` is the unitary Q,
-    ``off`` the (n, n) mask of the entries, in Q's basis, that the block
-    pattern leaves out, and ``gap`` a bound on the sine of the largest
-    principal angle between the span and the block algebra: every element
-    Z of the block algebra lies within ``gap * ||Z||_F`` of the span.
-    """
+    """A certificate that the span of a basis is, within tol_eff, the
+    algebra Q (M_{n_1} (x) I_{m_1} + ... + M_{n_b} (x) I_{m_b}) Q* (see
+    :func:`_block_structure`), the pairs (n_k, m_k) in ascending order.  In
+    Q's basis the pattern is zero where ``off`` is True and constant along
+    each aligned diagonal, one (n_k, n_k, m_k) array of flat indices in
+    ``aligned`` per block with m_k > 1.  Every element Z of the pattern lies
+    within ``gap * ||Z||_F`` of the span."""
 
     blocks: tuple[int, ...]
+    multiplicities: tuple[int, ...]
     q: np.ndarray = field(repr=False)
     off: np.ndarray = field(repr=False)
+    aligned: tuple[np.ndarray, ...] = field(repr=False)
     gap: float
 
 
@@ -215,76 +172,176 @@ def _gram_allowance(n: int) -> float:
     return 8.0 * n * np.finfo(np.float64).eps
 
 
+def _coefficients(count: int, real: bool) -> np.ndarray:
+    """The fixed coefficients sin t^2 (plus i sin(t^2 sqrt 2) unless
+    ``real``), t = 1 .. count.  The phase must not be linear in t: on matrix
+    units in file order, sin t would give x the real part
+    C_ab = sin(n a + b + 1), of rank 2, whose repeated eigenvalues mix the
+    blocks."""
+    t = np.square(np.arange(1.0, count + 1))
+    return np.sin(t) if real else np.sin(t) + 1j * np.sin(np.sqrt(2.0) * t)
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    return np.square(v) if v.dtype == np.float64 else np.square(v.real) + np.square(v.imag)
+
+
+def _aligned_deviation(flat: np.ndarray, aligned) -> np.ndarray | float:
+    """Each row's (row-major vecs in Q's basis) squared deviation from the
+    means of its aligned diagonals; 0 for no aligned diagonal."""
+    dev = 0.0
+    for idx in aligned:
+        diag = flat[:, idx]
+        dev = dev + _squares(diag - diag.mean(axis=-1, keepdims=True)).reshape(len(flat), -1).sum(axis=1)
+    return dev
+
+
 def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     """Certify, forming no product of two units, that the span S of the r
     orthonormal ``units`` (an (r, n, n) stack) is closed under adjoints and
     products and holds I, all within tol_eff; None when this cannot be shown.
 
-    Let h be the Hermitian part of sum_j c_j U_j with the fixed
-    coefficients c_j = sin j^2 (plus i sin(j^2 sqrt 2) for a complex
-    stack), so that the outcome repeats, and Q its eigenvectors.  The phase
-    must not be linear in j: on matrix units in file order, sin j would give
-    the real part C_ab = sin(n a + b + 1), a matrix of rank 2, whose
-    repeated eigenvalues let Q mix the blocks.  For a span that is
-    unitarily M_{n_1} + ... + M_{n_b}, a generic h is block diagonal, and
-    so is each V_j = Q* U_j Q, on the classes of eigenvectors that share a
-    block.  The weight w_ab = sum_j |V_j[a, b]|^2 is the squared length of
-    the projection of the matrix unit E_ab onto Q* S Q: near 1 where the
-    span holds E_ab and near 0 where it is orthogonal to it.  Eigenvectors
-    a and b are joined when w_ab + w_ba > 1, and the joins must be the
-    classes of an equivalence (a block algebra joins every pair in a
-    block).  The pattern P, the matrices that are block diagonal on those
-    classes, is a *-algebra of dimension d = sum n_k^2 that holds I, as the
-    classes cover all n eigenvectors.  With E_j the part of V_j off the
-    pattern and eta = max_j ||E_j||_F, accept only when
+    Let x = sum_j c_j U_j (c from :func:`_coefficients`, so that every run
+    gives the same outcome), h = x + x* and Q its eigenvectors.  In a span
+    unitarily M_{n_1} (x) I_{m_1} + ... (Davidson, C*-Algebras by Example,
+    III.1), h = sum_k H_k (x) I_{m_k}: each eigenvalue of a generic H_k is a
+    cluster C of m_k eigenvalues of h, and between two clusters of one block
+    each V_j = Q* U_j Q has a sub-block a Y_C* Y_D, a scalar times a fixed
+    unitary.  A gap above 1e-8 ||h||
+    between consecutive eigenvalues starts a new cluster: a heuristic that
+    no bound rests on, as a wrong cluster only keeps the certificate from
+    being found.  The weight w_ab = sum_j |V_j[a, b]|^2 is the squared
+    length of the projection of E_ab onto Q* S Q, so it sums to 1 over
+    a in C, b in D for two clusters of one block and to 0 otherwise.
+    Clusters are joined when w_CD + w_DC > 1; the joins must be an
+    equivalence whose classes hold n_k clusters of one size m_k, with
+    sum_k n_k^2 = r.  Each cluster C of a class is turned onto the class's
+    first, C_1, by the polar factor of T, read off the top right singular
+    vector of the r sub-blocks V_j[C_1, C] = a_j T (Maehara and Murota,
+    Japan J. Indust. Appl. Math. 2010), which makes every sub-block of the
+    class a multiple of I_{m_k}.  With every m_k = 1 nothing turns.
 
-        d = r  and  max(2 + sqrt(r), sqrt(r n)) eta + 16 n^2 eps <= tol_eff.
+    The pattern P, the matrices A_k (x) I_{m_k} on each class in this
+    basis, is a *-algebra of dimension r that holds I.  The orthogonal
+    projection Pi onto P keeps each class's sub-blocks and replaces each
+    aligned diagonal by its mean: the trace-preserving conditional
+    expectation onto P, an average of unitary conjugations, so
+    ||Pi(X)||_2 <= ||X||_2.  With E_j = V_j - Pi(V_j) (the entries off the
+    pattern and each aligned diagonal's deviation from its mean) and
+    eta = max_j ||E_j||_F, accept only when
 
-    Then (Frobenius norms; ||XY||_F <= ||X||_2 ||Y||_F, and ||V_j||_2 <= 1):
+        max(2 + sqrt(r), sqrt(r n)) eta + 16 n^2 eps <= tol_eff.
 
-    * a unit element Y = sum_j a_j V_j of Q* S Q (||a|| = 1) lies within
-      ||sum_j a_j E_j||_F <= sqrt(r) eta of P, so the sine of the largest
-      principal angle between Q* S Q and P is at most sqrt(r) eta.  The
-      two have the same dimension r, so every Z in P lies within
-      sqrt(r) eta ||Z||_F of Q* S Q;
-    * V_j* = (V_j - E_j)* + E_j*, with the first term in P and of norm at
-      most 1, lies within (1 + sqrt(r)) eta of Q* S Q;
-    * V_i V_j = (V_i - E_i)(V_j - E_j) + E_i (V_j - E_j) + V_i E_j, whose
-      first term lies in P with norm at most 1 and the other two have norm
-      at most eta each, lies within (2 + sqrt(r)) eta;
+    Then (Frobenius norms; ||XY||_F <= ||X||_2 ||Y||_F, and
+    ||Pi(V_j)||_2 <= ||V_j||_2 <= 1):
+
+    * a unit Y = sum_j a_j V_j lies within ||sum_j a_j E_j||_F <= sqrt(r) eta
+      of P, so the sine of the largest principal angle between Q* S Q and
+      P, which have one dimension r, is at most sqrt(r) eta: every Z in P
+      lies within sqrt(r) eta ||Z||_F of Q* S Q;
+    * V_j* = Pi(V_j)* + E_j*, the first term in P with norm at most 1, lies
+      within (1 + sqrt(r)) eta of Q* S Q;
+    * V_i V_j = Pi(V_i) Pi(V_j) + E_i Pi(V_j) + V_i E_j, the first term in P
+      with norm at most 1 and the others of norm at most eta, lies within
+      (2 + sqrt(r)) eta;
     * I lies in P with ||I||_F = sqrt(n), so within sqrt(r n) eta.
 
-    Conjugation by Q keeps Frobenius distances, so the same bounds hold for
-    the units.  16 n^2 eps covers the rounding: the two GEMMs that
-    conjugate a unit (O(n^1.5 eps)), Q's departure from a unitary (O(n eps),
-    from LAPACK), the units' departure from orthonormality, which scales
-    the bounds above by 1 + O(n eps) (LAPACK's rows, or a file's own rows
-    within :func:`_gram_allowance` of orthonormal), and the projections of
-    the product check, so that an accepted span is one that check accepts
-    too.  A span with a multiplicity m_k > 1 is no multiplicity-free
-    pattern of its own dimension, so it goes to the product check, as does
-    one whose eigenvector classes h fails to separate.
+    The bounds hold whatever unitary Q the clusters and the alignment give.
+    16 n^2 eps covers the rounding of the two GEMMs that conjugate a unit
+    (O(n^1.5 eps)), Q's departure from a unitary and the units' from
+    orthonormal (O(n eps) each, see :func:`_gram_allowance`).
     """
     r, n = units.shape[:2]
-    t = np.square(np.arange(1.0, r + 1))
-    c = np.sin(t) if units.dtype == np.float64 else np.sin(t) + 1j * np.sin(np.sqrt(2.0) * t)
-    x = np.tensordot(c, units, axes=1)
-    q = np.linalg.eigh(x + x.conj().T)[1]
-    v = np.matmul(q.conj().T, (units.reshape(r * n, n) @ q).reshape(r, n, n))
-    # |V_j[a, b]|^2 as an (r, n^2) block
-    sq = (np.square(v) if v.dtype == np.float64 else np.square(v.real) + np.square(v.imag)).reshape(r, n * n)
+    x = (_coefficients(r, units.dtype == np.float64) @ units.reshape(r, n * n)).reshape(n, n)
+    lam, q = np.linalg.eigh(x + x.conj().T)
+    stacked = units.reshape(r * n, n)
+    v = np.matmul(q.conj().T, (stacked @ q).reshape(r, n, n))
+    sq = _squares(v).reshape(r, n * n)
+    bounds = np.flatnonzero(np.concatenate(([True], lam[1:] - lam[:-1] > 1e-8 * max(-lam[0], lam[-1]), [True])))
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]  # the clusters
     weight = sq.sum(axis=0).reshape(n, n)
-    pattern = (weight + weight.T > 1.0) | np.eye(n, dtype=bool)
-    # the joins must already be an equivalence, as block units join every pair in a block
-    if np.count_nonzero(pattern) != r or not np.array_equal(pattern.astype(np.float64) @ pattern > 0, pattern):
+    if len(starts) < n:
+        weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
+    join = (weight + weight.T > 1.0) | np.eye(len(starts), dtype=bool)
+    # the joins must already be an equivalence, as a block joins every pair of its clusters
+    if not np.array_equal(join.astype(np.float64) @ join > 0, join):
         return None
-    off = ~pattern
-    eta = math.sqrt(float(np.max(sq @ off.ravel())))
+    first = join.argmax(axis=1)  # each cluster's class is named by its first cluster
+    counts = np.bincount(first, minlength=len(starts))
+    if counts @ counts != r or (sizes != sizes[first]).any():
+        return None
+    off, aligned = ~join, []
+    if len(starts) < n:
+        cid = np.repeat(np.arange(len(starts)), sizes)
+        key = first[cid] * n + np.arange(n) - starts[cid]  # on the pattern: one class, one place in the cluster
+        off = np.not_equal.outer(key, key)
+        for k in np.flatnonzero(counts * (sizes > 1)):
+            cols = starts[first == k][:, None] + np.arange(sizes[k])  # (n_k, m_k) eigenvector indices
+            sub = v[:, cols[0]][:, :, cols[1:]].transpose(2, 0, 1, 3).reshape(len(cols) - 1, r, sizes[k] ** 2)
+            u, _, vh = np.linalg.svd(np.linalg.svd(sub, full_matrices=False)[2][:, 0].reshape(-1, sizes[k], sizes[k]))
+            q[:, cols[1:]] = np.einsum("nib,iab->nia", q[:, cols[1:]], (u @ vh).conj())
+            aligned.append(cols[:, None, :] * n + cols[None, :, :])
+        v = np.matmul(q.conj().T, (stacked @ q).reshape(r, n, n))
+        sq = _squares(v).reshape(r, n * n)
+    eta = math.sqrt(float(np.max(sq @ off.ravel() + _aligned_deviation(v.reshape(r, n * n), aligned))))
     if max(2.0 + math.sqrt(r), math.sqrt(r * n)) * eta + _rounding_allowance(n) > teff:
         return None
-    # each eigenvector's class is named by its first member
-    sizes = np.bincount(pattern.argmax(axis=1))
-    return BlockStructure(tuple(sorted(int(b) for b in sizes if b)), q, off, math.sqrt(r) * eta)
+    blocks, multiplicities = zip(*sorted(zip(counts[counts > 0].tolist(), sizes[counts > 0].tolist())))
+    return BlockStructure(blocks, multiplicities, q, off, tuple(aligned), math.sqrt(r) * eta)
+
+
+def _refute(units: np.ndarray, teff: float) -> None:
+    """Judge on the band a span S (of the r orthonormal ``units``) that the
+    block structure does not certify: ValueError, naming the property and
+    its bound, when a lower bound on how far S is from closed exceeds
+    10 tol_eff + 16 n^2 eps, else :class:`InconclusiveClosure`.  With P the
+    projection onto S, each bound is attained by unit elements of S, so it
+    depends on the span and not on its basis:
+
+    * adjoints: the largest singular value of X -> (I - P) X* on S;
+    * products: ||(I - P)(A B)||_F for unit A, B in S, the best of 32 steps
+      of alternating power iteration on (A, B) -> (I - P)(A B) from each of
+      (A, B) = P(G_1, G_1), P(G_1, G_2), P(G_1, G_1^T), P(G_2, G_2), G_1 and
+      G_2 the n x n matrices of the real :func:`_coefficients` (one start
+      can end at a local maximum; no choice of basis changes these).  With
+      B fixed, A -> (I - P)(A B) has the adjoint R -> P(R B*), so the step
+      A <- P(R B*) / ||.||, R = (I - P)(A B), cannot lower the residual;
+      then B <- P(A* R) likewise;
+    * identity: ||(I - P) I||_F.
+
+    They are taken in that order, and the first above the threshold names
+    the refusal.
+    """
+    r, n = units.shape[:2]
+    span = units.reshape(r, n * n)
+
+    def outside(x: np.ndarray) -> np.ndarray:  # (I - P) x, row by row
+        return x.reshape(-1, n * n) - (x.reshape(-1, n * n) @ span.conj().T) @ span
+
+    def unit_inside(x: np.ndarray) -> np.ndarray:
+        x = (x.ravel() @ span.conj().T) @ span  # a combination of the units, with no part outside S
+        return (x / (np.linalg.norm(x) or 1.0)).reshape(n, n)
+
+    # finite, as a report carries it, also where 10 tol_eff is past the float range
+    threshold = min(10.0 * teff + _rounding_allowance(n), np.finfo(np.float64).max)
+    bounds = [0.0]
+
+    def judge(what: str, bound: float) -> None:
+        if bound > threshold:
+            raise ValueError(f"basis span {what}: residual {bound:.3e} above {threshold:.3e}")
+        bounds.append(bound)
+
+    adjoints = outside(np.conj(units.transpose(0, 2, 1)))
+    judge("is not closed under adjoints", math.sqrt(np.max(np.linalg.eigvalsh(adjoints @ adjoints.conj().T), initial=0.0)))
+    g = _coefficients(2 * n * n, True).reshape(2, n, n)
+    for a, b in ((g[0], g[0]), (g[0], g[1]), (g[0], g[0].T), (g[1], g[1])):
+        a, b = unit_inside(a), unit_inside(b)
+        for _ in range(32):
+            a = unit_inside(outside(a @ b).reshape(n, n) @ b.conj().T)
+            b = unit_inside(a.conj().T @ outside(a @ b).reshape(n, n))
+        judge("is not closed under products", float(np.linalg.norm(outside(a @ b))))
+    judge("does not contain the identity", float(np.linalg.norm(outside(np.eye(n, dtype=span.dtype)))))
+    raise InconclusiveClosure(max(bounds), threshold)
 
 
 @dataclass(frozen=True)
@@ -367,25 +424,19 @@ def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryCl
     return IsometryClass.NONE
 
 
-def _inside_blocks(w: np.ndarray, s: np.ndarray, structure: BlockStructure | None, teff: float) -> bool:
+def _inside_blocks(w: np.ndarray, s: np.ndarray, structure: BlockStructure, teff: float) -> bool:
     """Whether the block structure of the span shows ``w`` (with singular
-    values ``s``) within tol_eff of the span, with no projection onto it.
-
-    In Q's basis, w's distance to the block algebra is the norm of its
-    off-pattern part, and the part on the pattern, of Frobenius norm at most
-    ||w||_F = ||s||, lies within ``gap * ||s||`` of the span.  A sum above
-    tol_eff, or one that does not come out finite, shows nothing: the
-    caller then projects as for a span with no structure.
-    """
-    if structure is None:
-        return False
-    q = structure.q
-    # at a tolerance far above 1, a w far outside the ball may overflow here;
-    # the projection then meets it as it would with no structure
-    with np.errstate(all="ignore"):
-        off = np.linalg.norm((q.conj().T @ w @ q)[structure.off])
-        bound = off + structure.gap * np.linalg.norm(s) + _rounding_allowance(len(q))
-    return bool(bound <= teff)
+    values ``s``) within tol_eff of the span, with no projection onto it:
+    in Q's basis w lies off the pattern by the norm of its entries off it
+    and of its aligned diagonals' deviations from their means, and its
+    projection onto the pattern, of Frobenius norm at most ||s||, lies
+    within ``gap * ||s||`` of the span.  Nothing here overflows: a file is
+    accepted only with r >= 1 rows, of singular value above tol_eff and at
+    most sqrt(k) (the Gram path needs tol_eff < 1), so tol_eff < sqrt(k)
+    and ||w|| <= 1 + 10 tol_eff."""
+    y = structure.q.conj().T @ w @ structure.q
+    off = np.linalg.norm(y[structure.off]) ** 2 + np.sum(_aligned_deviation(y.reshape(1, -1), structure.aligned))
+    return bool(math.sqrt(off) + structure.gap * np.linalg.norm(s) + _rounding_allowance(len(y)) <= teff)
 
 
 def kadison_extreme_test(
@@ -400,16 +451,15 @@ def kadison_extreme_test(
     :class:`OutsideBallReport` before ``I - w*w`` is formed, which may
     overflow.  Any other ``w`` farther than tol_eff from the span of the
     basis (Frobenius distance, the closure check's rule) is not in the
-    algebra: ValueError.  Over a basis with a :class:`BlockStructure`, the
-    distance is first bounded from the block pattern, and ``w`` is
-    projected onto the span only when that bound exceeds tol_eff, so a
-    refusal names the projected distance.  The basis spans a unital
-    *-subalgebra, where Kadison's criterion is unitarity, so the verdict is
-    the band applied to the unitarity defect ``max |s^2 - 1|``: Extreme up
-    to tol_eff, NotExtreme beyond ten times it, Inconclusive in the decade
-    between.
-    The partial-isometry defect, the projection defects and the isometry
-    class come from the same singular values.  Only a ``w`` that is not
+    algebra: ValueError.  Over a file basis the distance is first bounded
+    from its :class:`BlockStructure`, and ``w`` is projected onto the span
+    only when that bound exceeds tol_eff, so a refusal names the projected
+    distance.  The basis spans a unital *-subalgebra, where Kadison's
+    criterion is unitarity, so the verdict is the band applied to the
+    unitarity defect ``max |s^2 - 1|``: Extreme up to tol_eff, NotExtreme
+    beyond ten times it, Inconclusive in the decade between.  The
+    partial-isometry defect, the projection defects and the isometry class
+    come from the same singular values.  Only a ``w`` that is not
     Extreme gets the Kadison residual ``max_k ||(I - w*w) B_k (I - ww*)||``
     over the unit-norm elements, and ``witness_index``, the first element
     that attains it: from the column norms of the two defects for the full
@@ -452,10 +502,6 @@ def kadison_extreme_test(
             norms = operator_norm(dl @ basis.elements @ dr)
             best_index = int(np.argmax(norms))
             residual = float(norms[best_index])
-            if residual == np.inf:
-                # the SVD scales its input, so a norm past the float range comes back as inf
-                # with no floating-point flag set: {I, J} at w = 1.189e77 I and a tol of 1e100
-                raise FloatingPointError("overflow encountered in the Kadison residual")
         witness = best_index if residual > teff else None
 
     verdict = {

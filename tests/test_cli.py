@@ -24,7 +24,7 @@ from unitball import cli, serialize as ser
 from unitball.cli import EXIT_DATA, EXIT_INCONCLUSIVE, EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from unitball.extremal import ExtremeVerdict
 from unitball.gen import InstanceSpec, InstanceKind, generate, trace_pinch_map
-from unitball.linalg import DEFAULT_TOL, haar_from_rng, matrix_unit
+from unitball.linalg import DEFAULT_TOL, Tolerance, haar_from_rng, matrix_unit
 from unitball.preserver import PreserverVerdict
 from unitball.superop import BlockKind, SuperOperator, direct_sum_embedding, from_left_right, identity_map
 
@@ -231,9 +231,10 @@ def test_check_extreme_with_complex_algebra_file(tmp_path, capsys):
 def test_check_extreme_reports_which_closure_certificate_held(tmp_path, capsys):
     """Beside the isometry class, a report over an algebra file names the
     certificate that showed the file's span closed: the block sizes for the
-    units of M_2 + M_3 rotated by a unitary, "products" for {A (x) I_2}
-    over the units of M_2, which no multiplicity-free pattern fits, also
-    for a non-square W.  Over the full algebra there is no file and no key."""
+    units of M_2 + M_3 rotated by a unitary, with no multiplicities as every
+    one is 1, and the block size with its multiplicity for {A (x) I_2} over
+    the units of M_2, also for a non-square W.  Over the full algebra there
+    is no file and no key."""
     rng = np.random.default_rng(9)
     u = haar_from_rng(5, rng)
     rotated = [u @ matrix_unit(5, i, j) @ u.conj().T for lo, hi in ((0, 2), (2, 5)) for i in range(lo, hi) for j in range(lo, hi)]
@@ -246,11 +247,50 @@ def test_check_extreme_reports_which_closure_certificate_held(tmp_path, capsys):
     assert obj["algebra"] == {"closure": "blocks", "blocks": [2, 3]}
     doubled = write_algebra(tmp_path, "doubled.json", [np.kron(matrix_unit(2, i, j), np.eye(2)) for i in range(2) for j in range(2)])
     code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "eye.json", np.eye(4)), "--algebra", doubled)
-    assert (code, obj["algebra"]) == (EXIT_OK, {"closure": "products"}), err
+    closure = {"closure": "blocks", "blocks": [2], "multiplicities": [2]}
+    assert (code, obj["algebra"]) == (EXIT_OK, closure), err
     code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "wide.json", np.ones((4, 2))), "--algebra", doubled)
-    assert (code, obj["reason"], obj["algebra"]) == (EXIT_INCONCLUSIVE, "nonsquare-matrix", {"closure": "products"}), err
+    assert (code, obj["reason"], obj["algebra"]) == (EXIT_INCONCLUSIVE, "nonsquare-matrix", closure), err
     code, obj, err = run_json(capsys, "check-extreme", mpath)
     assert code == EXIT_OK and "algebra" not in obj, err
+
+
+@pytest.mark.parametrize("tol, want", [
+    ("0", EXIT_INCONCLUSIVE),
+    ("1e-17", EXIT_INCONCLUSIVE),
+    ("1e-16", EXIT_INCONCLUSIVE),
+    ("1e-15", EXIT_INCONCLUSIVE),
+    ("1e-8", EXIT_OK),
+    ("0.01", EXIT_OK),
+    ("0.3", EXIT_OK),
+    ("0.5", EXIT_INCONCLUSIVE),
+    ("1e3", EXIT_INCONCLUSIVE),
+])
+def test_rotated_m2_algebra_file_across_tolerances(tmp_path, capsys, tol, want):
+    """W = I_2 over the four units of M_2 conjugated by a Haar unitary.  At
+    a tol_eff below the certificate's rounding allowance 16 n^2 eps
+    (--tol 1e-15 and below), and at a tol_eff of 1 or more (--tol 0.5 and
+    1e3), where the SVD keeps only the rows of singular value above it, no
+    block structure certifies the span and no closure residual exceeds ten
+    times tol_eff: exit 2 with a report that carries the bound and the
+    threshold.  A check by the products of one basis refused this file at
+    0, 1e-17, 1e-16 and 0.5 (exit 65) and accepted it over an empty span at
+    1e3.  In between, the file is M_2 and I_2 is Extreme."""
+    u = haar_from_rng(2, np.random.default_rng(2))
+    units = [u @ matrix_unit(2, i, j) @ u.conj().T for i in range(2) for j in range(2)]
+    apath = write_algebra(tmp_path, "rot.json", units)
+    code, obj, err = run_json(capsys, "check-extreme", write_matrix(tmp_path, "eye.json", np.eye(2)), "--algebra", apath, "--tol", tol)
+    assert code == want, err
+    assert err.count("\n") == 1
+    if want == EXIT_OK:
+        assert obj["algebra"] == {"closure": "blocks", "blocks": [2]}
+        assert obj["report"]["verdict"] == "Extreme"
+        return
+    assert list(obj) == ["isometry_class", "algebra", "verdict", "reason", "run"]
+    assert (obj["isometry_class"], obj["verdict"], obj["reason"]) == ("Unitary", "Inconclusive", "closure-in-band")
+    closure = obj["algebra"]
+    assert closure["closure"] == "in-band"
+    assert closure["bound"] <= closure["threshold"] == 10 * Tolerance(float(tol)).effective(2, 2) + 16 * 4 * np.finfo(float).eps
 
 
 def test_check_extreme_takes_one_svd_of_w(tmp_path, capsys, monkeypatch):
@@ -971,18 +1011,28 @@ def test_huge_finite_tolerance_gives_a_finite_report(tmp_path, capsys, command):
 def test_overflowing_residuals_are_numerical_failure(tmp_path, capsys, command):
     """Finite inputs whose residuals overflow get no report, whose numbers
     would not be finite, and no RuntimeWarning.  The check-extreme input is
-    w = 1.189e77 I in span{1e308 I, 1e308 J}, J the all-ones matrix, at
-    --tol 1e100, so that w stays in the band around the ball and both
-    elements lie above tol_eff: the entries of (I - w*w)(J/2)(I - ww*)
-    stay finite, but its norm 1.41e154^2 is past the float range.  The
-    classify input keeps Phi(I) = I and scales the images of E_12 and E_21
-    by 1e300, so the form probe F_12 v* F_21 overflows (a scaled identity
-    gets a verdict)."""
+    w = 1.189e77 I over the full algebra at --tol 1e100, so that w stays in
+    the band around the ball: the entries of I - w*w are finite, but the
+    Kadison residual ||I - w*w||^2 = 1.41e154^2 is past the float range.
+    Over span{1e308 I, 1e308 J} (J the all-ones matrix) as an algebra file
+    the same w reaches no residual: tol_eff = 2e100 exceeds every singular
+    value of the unit-norm elements, so the span holds no row, and the file
+    gets an inconclusive report, with the identity's distance sqrt 2 as its
+    bound against 10 tol_eff.  The classify input keeps Phi(I) = I and
+    scales the images of E_12 and E_21 by 1e300, so the form probe
+    F_12 v* F_21 overflows (a scaled identity gets a verdict)."""
     args = []
     if command == "check-extreme":
         path = write_matrix(tmp_path, "big.json", 1.189e77 * np.eye(2))
+        args = ["--tol", "1e100"]
         apath = write_algebra(tmp_path, "algebra.json", [1e308 * np.eye(2), 1e308 * np.ones((2, 2))])
-        args = ["--algebra", apath, "--tol", "1e100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, obj, err = run_json(capsys, command, path, "--algebra", apath, *args)
+        assert code == EXIT_INCONCLUSIVE, err
+        assert (obj["verdict"], obj["reason"]) == ("Inconclusive", "closure-in-band")
+        assert obj["algebra"] == {"closure": "in-band", "bound": pytest.approx(math.sqrt(2)), "threshold": pytest.approx(2e101)}
+        assert err.count("\n") == 1
     elif command == "classify":
         m = np.eye(4, dtype=complex)
         m[:, 1:3] *= 1e300
