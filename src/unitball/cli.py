@@ -113,20 +113,20 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
     if args.algebra == "full":
         basis = StarAlgebraBasis.full(rows)
     else:
-        _, elems = ser.read_json(args.algebra, ser.algebra_elements_from_obj)
+        size, elems = ser.read_json(args.algebra, ser.algebra_elements_from_obj)
         try:
             basis = StarAlgebraBasis(elems, tol)
         except InconclusiveClosure as exc:
+            if rows == cols != size:  # as kadison_extreme_test refuses a certified algebra of another size
+                raise ser.FormatError(f"algebra sits in M_{size} but the matrix is {rows}x{cols}") from exc
             algebra = {"algebra": {"closure": "in-band", "bound": exc.bound, "threshold": exc.threshold}}
             undecided = "closure-in-band", f"algebra file: {exc}"
         except ValueError as exc:
             raise ser.FormatError(f"algebra file: {exc}") from exc
-        else:
-            # the block structure that showed the file's span closed
-            structure = basis.structure
-            algebra = {"algebra": {"closure": "blocks", "blocks": list(structure.blocks)}}
-            if max(structure.multiplicities) > 1:
-                algebra["algebra"]["multiplicities"] = list(structure.multiplicities)
+        else:  # the block structure that showed the file's span closed
+            algebra = {"algebra": {"closure": "blocks", "blocks": list(basis.structure.blocks)}}
+            if max(basis.structure.multiplicities) > 1:
+                algebra["algebra"]["multiplicities"] = list(basis.structure.multiplicities)
 
     if rows != cols and not undecided:
         undecided = "nonsquare-matrix", f"{rows}x{cols} matrix is not in a matrix algebra"

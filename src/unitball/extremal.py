@@ -133,8 +133,7 @@ class StarAlgebraBasis:
         if not orthonormal:
             _, s, vh = np.linalg.svd(rows, full_matrices=False)
             rows = vh[: int(np.count_nonzero(s > teff))]
-        self.span = rows
-        units = rows.reshape(len(rows), n, n)
+        self.span, units = rows, rows.reshape(len(rows), n, n)
         self.structure = _block_structure(units, teff)
         if self.structure is None:
             _refute(units, teff)
@@ -186,14 +185,15 @@ def _squares(v: np.ndarray) -> np.ndarray:
     return np.square(v) if v.dtype == np.float64 else np.square(v.real) + np.square(v.imag)
 
 
-def _aligned_deviation(flat: np.ndarray, aligned) -> np.ndarray | float:
-    """Each row's (row-major vecs in Q's basis) squared deviation from the
-    means of its aligned diagonals; 0 for no aligned diagonal."""
-    dev = 0.0
+def _off_pattern_sq(flat: np.ndarray, sq: np.ndarray, off: np.ndarray, aligned) -> np.ndarray:
+    """Each row's (a row-major vec in Q's basis; ``sq`` its squared moduli)
+    squared Frobenius distance from the pattern of a :class:`BlockStructure`:
+    its entries off it, plus each aligned diagonal's deviation from its mean."""
+    dist = sq @ off.ravel()
     for idx in aligned:
         diag = flat[:, idx]
-        dev = dev + _squares(diag - diag.mean(axis=-1, keepdims=True)).reshape(len(flat), -1).sum(axis=1)
-    return dev
+        dist += _squares(diag - diag.mean(axis=-1, keepdims=True)).reshape(len(flat), -1).sum(axis=1)
+    return dist
 
 
 def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
@@ -207,15 +207,14 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     III.1), h = sum_k H_k (x) I_{m_k}: each eigenvalue of a generic H_k is a
     cluster C of m_k eigenvalues of h, and between two clusters of one block
     each V_j = Q* U_j Q has a sub-block a Y_C* Y_D, a scalar times a fixed
-    unitary.  A gap above 1e-8 ||h||
-    between consecutive eigenvalues starts a new cluster: a heuristic that
-    no bound rests on, as a wrong cluster only keeps the certificate from
-    being found.  The weight w_ab = sum_j |V_j[a, b]|^2 is the squared
-    length of the projection of E_ab onto Q* S Q, so it sums to 1 over
-    a in C, b in D for two clusters of one block and to 0 otherwise.
-    Clusters are joined when w_CD + w_DC > 1; the joins must be an
-    equivalence whose classes hold n_k clusters of one size m_k, with
-    sum_k n_k^2 = r.  Each cluster C of a class is turned onto the class's
+    unitary.  A gap above 1e-8 ||h|| between consecutive eigenvalues starts
+    a new cluster: a heuristic that no bound rests on, as a wrong cluster
+    only keeps the certificate from being found.  The weight
+    w_ab = sum_j |V_j[a, b]|^2 is the squared length of the projection of
+    E_ab onto Q* S Q, so it sums to 1 over a in C, b in D for two clusters
+    of one block and to 0 otherwise.  Clusters are joined when
+    w_CD + w_DC > 1; the joins must be an equivalence whose classes hold
+    n_k clusters of one size m_k, with sum_k n_k^2 = r.  Each cluster C of a class is turned onto the class's
     first, C_1, by the polar factor of T, read off the top right singular
     vector of the r sub-blocks V_j[C_1, C] = a_j T (Maehara and Murota,
     Japan J. Indust. Appl. Math. 2010), which makes every sub-block of the
@@ -283,7 +282,7 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
             aligned.append(cols[:, None, :] * n + cols[None, :, :])
         v = np.matmul(q.conj().T, (stacked @ q).reshape(r, n, n))
         sq = _squares(v).reshape(r, n * n)
-    eta = math.sqrt(float(np.max(sq @ off.ravel() + _aligned_deviation(v.reshape(r, n * n), aligned))))
+    eta = math.sqrt(float(np.max(_off_pattern_sq(v.reshape(r, n * n), sq, off, aligned))))
     if max(2.0 + math.sqrt(r), math.sqrt(r * n)) * eta + _rounding_allowance(n) > teff:
         return None
     blocks, multiplicities = zip(*sorted(zip(counts[counts > 0].tolist(), sizes[counts > 0].tolist())))
@@ -298,19 +297,20 @@ def _refute(units: np.ndarray, teff: float) -> None:
     projection onto S, each bound is attained by unit elements of S, so it
     depends on the span and not on its basis:
 
-    * adjoints: the largest singular value of X -> (I - P) X* on S;
+    * adjoints: the largest singular value of X -> (I - P) X* on S, exact;
     * products: ||(I - P)(A B)||_F for unit A, B in S, the best of 32 steps
       of alternating power iteration on (A, B) -> (I - P)(A B) from each of
       (A, B) = P(G_1, G_1), P(G_1, G_2), P(G_1, G_1^T), P(G_2, G_2), G_1 and
-      G_2 the n x n matrices of the real :func:`_coefficients` (one start
-      can end at a local maximum; no choice of basis changes these).  With
-      B fixed, A -> (I - P)(A B) has the adjoint R -> P(R B*), so the step
+      G_2 the n x n matrices of the real :func:`_coefficients`.  With B
+      fixed, A -> (I - P)(A B) has the adjoint R -> P(R B*), so the step
       A <- P(R B*) / ||.||, R = (I - P)(A B), cannot lower the residual;
-      then B <- P(A* R) likewise;
-    * identity: ||(I - P) I||_F.
+      then B <- P(A* R) likewise.  This is a local search: it can end below
+      the product of two elements of the file, so a span whose products
+      alone miss closure by little more than the threshold may come out
+      inconclusive, or be named by the identity;
+    * identity: ||(I - P) I||_F, exact.
 
-    They are taken in that order, and the first above the threshold names
-    the refusal.
+    In that order, the first above the threshold names the refusal.
     """
     r, n = units.shape[:2]
     span = units.reshape(r, n * n)
@@ -425,18 +425,16 @@ def _isometry_class(s: np.ndarray, m: int, n: int, tol: Tolerance) -> IsometryCl
 
 
 def _inside_blocks(w: np.ndarray, s: np.ndarray, structure: BlockStructure, teff: float) -> bool:
-    """Whether the block structure of the span shows ``w`` (with singular
-    values ``s``) within tol_eff of the span, with no projection onto it:
-    in Q's basis w lies off the pattern by the norm of its entries off it
-    and of its aligned diagonals' deviations from their means, and its
-    projection onto the pattern, of Frobenius norm at most ||s||, lies
-    within ``gap * ||s||`` of the span.  Nothing here overflows: a file is
-    accepted only with r >= 1 rows, of singular value above tol_eff and at
-    most sqrt(k) (the Gram path needs tol_eff < 1), so tol_eff < sqrt(k)
-    and ||w|| <= 1 + 10 tol_eff."""
-    y = structure.q.conj().T @ w @ structure.q
-    off = np.linalg.norm(y[structure.off]) ** 2 + np.sum(_aligned_deviation(y.reshape(1, -1), structure.aligned))
-    return bool(math.sqrt(off) + structure.gap * np.linalg.norm(s) + _rounding_allowance(len(y)) <= teff)
+    """Whether the block structure of the span shows ``w`` (singular values
+    ``s``) within tol_eff of the span, with no projection onto it: in Q's
+    basis w lies off the pattern by the root of :func:`_off_pattern_sq`,
+    and its projection onto the pattern, of Frobenius norm at most ||s||,
+    lies within ``gap * ||s||`` of the span.  At the tol the basis was
+    built at nothing here overflows: an accepted file has r >= 1 rows of
+    singular value in (tol_eff, sqrt(k)], so ||w|| <= 1 + 10 sqrt(k)."""
+    y = (structure.q.conj().T @ w @ structure.q).reshape(1, -1)
+    off = math.sqrt(_off_pattern_sq(y, _squares(y), structure.off, structure.aligned)[0])
+    return bool(off + structure.gap * np.linalg.norm(s) + _rounding_allowance(len(w)) <= teff)
 
 
 def kadison_extreme_test(
@@ -502,6 +500,8 @@ def kadison_extreme_test(
             norms = operator_norm(dl @ basis.elements @ dr)
             best_index = int(np.argmax(norms))
             residual = float(norms[best_index])
+            if residual == np.inf:  # the SVD scales its input, so it returns inf and sets no flag
+                raise FloatingPointError("overflow encountered in the Kadison residual")
         witness = best_index if residual > teff else None
 
     verdict = {

@@ -128,6 +128,22 @@ def test_check_extreme_algebra_of_another_size_is_data_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "algebra sits in M_3 but the matrix is 2x2" in err
 
 
+@pytest.mark.parametrize("shape, code", [((3, 3), EXIT_DATA), ((3, 2), EXIT_INCONCLUSIVE)])
+def test_check_extreme_in_band_algebra_of_another_size(tmp_path, capsys, shape, code):
+    """An algebra file whose closure is in the band (rotated M_2 at --tol 0)
+    beside a square matrix of another size is a data error, as a certified
+    one is; beside a rectangular matrix it is inconclusive."""
+    u = haar_from_rng(2, np.random.default_rng(2))
+    apath = write_algebra(tmp_path, "rot.json", [u @ matrix_unit(2, i, j) @ u.conj().T for i in range(2) for j in range(2)])
+    got, out, err = run(capsys, "check-extreme", write_matrix(tmp_path, "w.json", np.ones(shape)), "--algebra", apath, "--tol", "0")
+    assert got == code, err
+    assert err.count("\n") == 1
+    if code == EXIT_DATA:
+        assert out == "" and "algebra sits in M_2 but the matrix is 3x3" in err
+    else:
+        assert json.loads(out)["reason"] == "closure-in-band"
+
+
 def write_algebra(tmp_path, name, elements):
     path = tmp_path / name
     n = len(elements[0])
