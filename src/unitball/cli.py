@@ -114,13 +114,15 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
         basis = StarAlgebraBasis.full(rows)
     else:
         size, elems = ser.read_json(args.algebra, ser.algebra_elements_from_obj)
+        if rows == cols != size:  # before the build, whatever it makes of the file
+            raise ser.FormatError(f"algebra sits in M_{size} but the matrix is {rows}x{cols}")
         try:
             basis = StarAlgebraBasis(elems, tol)
         except InconclusiveClosure as exc:
-            if rows == cols != size:  # as kadison_extreme_test refuses a certified algebra of another size
-                raise ser.FormatError(f"algebra sits in M_{size} but the matrix is {rows}x{cols}") from exc
             algebra = {"algebra": {"closure": "in-band", "bound": exc.bound, "threshold": exc.threshold}}
             undecided = "closure-in-band", f"algebra file: {exc}"
+        except np.linalg.LinAlgError:  # a ValueError too, but a numerical failure (exit 2)
+            raise
         except ValueError as exc:
             raise ser.FormatError(f"algebra file: {exc}") from exc
         else:  # the block structure that showed the file's span closed
@@ -139,8 +141,7 @@ def _cmd_check_extreme(args, tol: Tolerance) -> tuple[dict, str, str]:
         rep = kadison_extreme_test(a, basis, tol)
     except np.linalg.LinAlgError:
         raise
-    except ValueError as exc:
-        # the algebra sits in another M_n, or the matrix lies outside its span
+    except ValueError as exc:  # the matrix lies outside the algebra's span
         raise ser.FormatError(str(exc)) from exc
     report = {"isometry_class": rep.isometry_class.value, **algebra, "report": ser.to_obj(rep)}
     if isinstance(rep, OutsideBallReport):

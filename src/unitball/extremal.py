@@ -70,12 +70,12 @@ class StarAlgebraBasis:
     """A (k, n, n) stack of matrices spanning a *-subalgebra of M_n.
 
     Any sequence of matrices that numpy stacks is taken, and one read-only
-    complex128 copy kept in ``elements``, each element divided by its
-    largest real or imaginary part (so that no norm overflows), then by its
-    Frobenius norm; one of norm at most tol_eff is kept as zero.  The
-    closure check and the Kadison residual both read this stack, so neither
-    depends on element scale.  A stack with no nonzero imaginary part is
-    checked in real arithmetic, on a real orthonormal basis of its span.
+    copy kept in ``elements``, in the file's arithmetic (float64 when no
+    element has a nonzero imaginary part, else complex128), each element
+    divided by its largest real or imaginary part (so that no norm
+    overflows), then by its Frobenius norm; one of norm at most tol_eff is
+    kept as zero.  The closure check and the Kadison residual both read
+    this stack, so neither depends on element scale.
 
     On construction (unless built by :meth:`full`, which is exact) the span
     is judged on r orthonormal rows (row-major vecs, kept in ``span``).
@@ -83,23 +83,23 @@ class StarAlgebraBasis:
     scaled rows has ||G - I||_F <= delta = 8 n eps, as for rotated matrix
     units, the rows are their own basis with r = k, as the SVD would find
     (its squared singular values are G's eigenvalues), no farther from
-    orthonormal than LAPACK's rows.  Any other stack takes one SVD, whose
-    rows of singular value above tol_eff are the basis.  The span is
-    accepted only by its block structure (``structure``, see
+    orthonormal than LAPACK's rows, and ``span`` is ``elements`` itself,
+    one buffer.  Any other stack takes one SVD, whose rows of singular
+    value above tol_eff are the basis, kept as a second array.  The span
+    is accepted only by its block structure (``structure``, see
     :func:`_block_structure`), whose bounds hold for the span, not for one
     basis of it; any other span is judged on the band by :func:`_refute`.
     """
 
     def __init__(self, elements, tol: Tolerance = DEFAULT_TOL):
-        elems = as_matrices(np.array(elements, dtype=np.complex128))
+        elems = as_matrices(np.array(elements, dtype=np.complex128, order="C"))
         if elems.ndim != 3 or not len(elems) or elems.shape[1] != elems.shape[2]:
             raise ValueError(f"basis needs a non-empty stack of square matrices, got shape {elems.shape}")
         k, n = elems.shape[:2]
         teff = tol.effective(n, n)
+        elems = elems if elems.imag.any() else elems.real.copy()  # contiguous either way
         # Row-major vecs throughout: the Frobenius residual ignores vec order.
         vecs = elems.reshape(k, n * n)
-        if not vecs.imag.any():
-            vecs = vecs.real
         # each row over its largest real or imaginary part, so no norm overflows: its norm is peaks * norms
         peaks = np.abs(vecs.view(np.float64)).max(axis=1)
         vecs /= np.where(peaks > 0, peaks, 1.0)[:, None]
@@ -107,7 +107,7 @@ class StarAlgebraBasis:
         vecs *= np.where(peaks > teff / norms, 1.0 / norms, 0.0)[:, None]
         elems.flags.writeable = False
         self.n, self.elements, self.is_full = n, elems, False
-        self._validate(vecs, n, teff)
+        self._validate(elems.reshape(k, n * n), n, teff)
 
     @classmethod
     def full(cls, n: int) -> "StarAlgebraBasis":
@@ -119,8 +119,9 @@ class StarAlgebraBasis:
         basis.n, basis.elements, basis.span, basis.structure, basis.is_full = n, None, None, None, True
         return basis
 
-    def _validate(self, vecs: np.ndarray, n: int, teff: float) -> None:
-        rows = vecs.copy()  # contiguous: a real stack is a strided view of ``elements``
+    def _validate(self, rows: np.ndarray, n: int, teff: float) -> None:
+        """Keep the read-only ``rows`` of ``elements`` as ``span`` when they are
+        orthonormal, else the SVD's; then certify or :func:`_refute` the span."""
         k = len(rows)
         delta = _gram_allowance(n)
         orthonormal = False
@@ -218,7 +219,8 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     first, C_1, by the polar factor of T, read off the top right singular
     vector of the r sub-blocks V_j[C_1, C] = a_j T (Maehara and Murota,
     Japan J. Indust. Appl. Math. 2010), which makes every sub-block of the
-    class a multiple of I_{m_k}.  With every m_k = 1 nothing turns.
+    class a multiple of I_{m_k}.  With every m_k = 1 each cluster is one
+    eigenvalue, nothing turns and the units are conjugated only once.
 
     The pattern P, the matrices A_k (x) I_{m_k} on each class in this
     basis, is a *-algebra of dimension r that holds I.  The orthogonal
@@ -258,9 +260,7 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     sq = _squares(v).reshape(r, n * n)
     bounds = np.flatnonzero(np.concatenate(([True], lam[1:] - lam[:-1] > 1e-8 * max(-lam[0], lam[-1]), [True])))
     starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]  # the clusters
-    weight = sq.sum(axis=0).reshape(n, n)
-    if len(starts) < n:
-        weight = np.add.reduceat(np.add.reduceat(weight, starts, axis=0), starts, axis=1)
+    weight = np.add.reduceat(np.add.reduceat(sq.sum(axis=0).reshape(n, n), starts, axis=0), starts, axis=1)
     join = (weight + weight.T > 1.0) | np.eye(len(starts), dtype=bool)
     # the joins must already be an equivalence, as a block joins every pair of its clusters
     if not np.array_equal(join.astype(np.float64) @ join > 0, join):
@@ -269,17 +269,15 @@ def _block_structure(units: np.ndarray, teff: float) -> BlockStructure | None:
     counts = np.bincount(first, minlength=len(starts))
     if counts @ counts != r or (sizes != sizes[first]).any():
         return None
-    off, aligned = ~join, []
-    if len(starts) < n:
-        cid = np.repeat(np.arange(len(starts)), sizes)
-        key = first[cid] * n + np.arange(n) - starts[cid]  # on the pattern: one class, one place in the cluster
-        off = np.not_equal.outer(key, key)
-        for k in np.flatnonzero(counts * (sizes > 1)):
-            cols = starts[first == k][:, None] + np.arange(sizes[k])  # (n_k, m_k) eigenvector indices
-            sub = v[:, cols[0]][:, :, cols[1:]].transpose(2, 0, 1, 3).reshape(len(cols) - 1, r, sizes[k] ** 2)
-            u, _, vh = np.linalg.svd(np.linalg.svd(sub, full_matrices=False)[2][:, 0].reshape(-1, sizes[k], sizes[k]))
-            q[:, cols[1:]] = np.einsum("nib,iab->nia", q[:, cols[1:]], (u @ vh).conj())
-            aligned.append(cols[:, None, :] * n + cols[None, :, :])
+    key = np.repeat(first * n - starts, sizes) + np.arange(n)  # on the pattern: one class, one place in the cluster
+    off, aligned = np.not_equal.outer(key, key), []
+    for k in np.flatnonzero(counts * (sizes > 1)):
+        cols = starts[first == k][:, None] + np.arange(sizes[k])  # (n_k, m_k) eigenvector indices
+        sub = v[:, cols[0]][:, :, cols[1:]].transpose(2, 0, 1, 3).reshape(len(cols) - 1, r, sizes[k] ** 2)
+        u, _, vh = np.linalg.svd(np.linalg.svd(sub, full_matrices=False)[2][:, 0].reshape(-1, sizes[k], sizes[k]))
+        q[:, cols[1:]] = np.einsum("nib,iab->nia", q[:, cols[1:]], (u @ vh).conj())
+        aligned.append(cols[:, None, :] * n + cols[None, :, :])
+    if aligned:  # some m_k > 1: conjugate by the aligned Q
         v = np.matmul(q.conj().T, (stacked @ q).reshape(r, n, n))
         sq = _squares(v).reshape(r, n * n)
     eta = math.sqrt(float(np.max(_off_pattern_sq(v.reshape(r, n * n), sq, off, aligned))))

@@ -144,6 +144,32 @@ def test_check_extreme_in_band_algebra_of_another_size(tmp_path, capsys, shape, 
         assert json.loads(out)["reason"] == "closure-in-band"
 
 
+def test_check_extreme_refuses_an_algebra_of_another_size_before_building_it(tmp_path, capsys, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setattr(cli, "StarAlgebraBasis", unbuilt)
+    apath = write_algebra(tmp_path, "units.json", [matrix_unit(2, i, j) for i in range(2) for j in range(2)])
+    code, out, err = run(capsys, "check-extreme", write_matrix(tmp_path, "w.json", np.eye(3)), "--algebra", apath)
+    assert code == EXIT_DATA, err
+    assert out == ""
+    assert err.count("\n") == 1 and "algebra sits in M_2 but the matrix is 3x3" in err
+
+
+def test_numerical_failure_while_building_the_basis_is_inconclusive(tmp_path, capsys, monkeypatch):
+    """LinAlgError is a ValueError, yet an eigensolver that does not
+    converge is no fault of the algebra file: exit 2, not 65."""
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    apath = write_algebra(tmp_path, "units.json", [matrix_unit(2, i, j) for i in range(2) for j in range(2)])
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    code, out, err = run(capsys, "check-extreme", write_matrix(tmp_path, "w.json", np.eye(2)), "--algebra", apath)
+    assert code == EXIT_INCONCLUSIVE
+    assert out == ""
+    assert err.count("\n") == 1 and "numerical failure: Eigenvalues did not converge" in err
+
+
 def write_algebra(tmp_path, name, elements):
     path = tmp_path / name
     n = len(elements[0])

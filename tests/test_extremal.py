@@ -292,14 +292,25 @@ def test_basis_keeps_elements_as_one_stack():
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
 def test_basis_owns_its_stack(dtype):
     """The basis copies the caller's (k, n, n) array: writing to that array
-    afterwards leaves ``elements`` as it was, and ``elements`` is read-only."""
+    afterwards leaves ``elements`` as it was, and ``elements`` is read-only.
+    A stack with no nonzero imaginary part is kept as float64 whatever the
+    caller's dtype."""
     stack = np.array(block_units((1, 2))).real.astype(dtype)
     before = stack.copy()
     basis = StarAlgebraBasis(stack)
     stack[:] = 7.0
     assert np.array_equal(basis.elements, before)
-    assert basis.elements.dtype == np.complex128
+    assert basis.elements.dtype == np.float64
     assert not basis.elements.flags.writeable
+
+
+def test_basis_scales_a_stack_in_any_memory_order():
+    """A Fortran-ordered complex stack is scaled like any other: its kept
+    elements, which are its span, have unit Frobenius norm."""
+    stack = np.asfortranarray(np.array([np.diag([5.0, 0.0]), np.diag([0.0, 3.0])]) * (1 + 1j))
+    basis = StarAlgebraBasis(stack)
+    assert np.allclose(np.linalg.norm(basis.elements, axis=(1, 2)), 1.0)
+    assert np.shares_memory(basis.span, basis.elements)
 
 
 @pytest.mark.parametrize("elements, message", [
@@ -751,6 +762,27 @@ def test_basis_memory_stays_near_the_element_stack():
     assert peak <= 10 * k * n * n * 16
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["units", "rotated"])
+def test_orthonormal_basis_keeps_one_stack(rotated):
+    """The rows of an orthonormal file are its span: ``span`` is a view of
+    ``elements``, kept in the file's arithmetic, and a built basis keeps
+    little more than that one stack.  A file that takes the SVD (one
+    element listed twice) keeps the SVD's rows apart from the stack."""
+    stack = np.array(block_units((16, 16), haar_unitary(32, 37) if rotated else None))
+    tracemalloc.start()
+    try:
+        basis = StarAlgebraBasis(stack)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert basis.elements.dtype == (np.complex128 if rotated else np.float64)
+    assert np.shares_memory(basis.span, basis.elements)
+    assert kept <= 1.1 * basis.elements.nbytes
+    twice = StarAlgebraBasis(np.concatenate((stack, stack[:1])))
+    assert twice.structure.blocks == (16, 16)
+    assert not np.shares_memory(twice.span, twice.elements)
+
+
 def test_basis_rejects_mixed_shapes():
     with pytest.raises(ValueError):
         StarAlgebraBasis([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
@@ -855,11 +887,11 @@ def test_real_basis_closure_matches_complex_arithmetic(algebra, index, factor, s
 
 
 def test_basis_is_checked_in_real_arithmetic_only_when_real(monkeypatch):
-    """The span is float64 exactly when no element has a nonzero imaginary
-    part; the elements are kept as complex128 either way.  An orthonormal
-    stack is its own span and takes no SVD; one that is not (an element
-    listed twice, a zero element, one element replaced by the sum of two)
-    takes one SVD, in the span's arithmetic."""
+    """The span and the elements are float64 exactly when no element has a
+    nonzero imaginary part.  An orthonormal stack is its own span and takes
+    no SVD; one that is not (an element listed twice, a zero element, one
+    element replaced by the sum of two) takes one SVD, in the span's
+    arithmetic."""
     dtypes = []
     svd = np.linalg.svd
 
@@ -887,7 +919,7 @@ def test_basis_is_checked_in_real_arithmetic_only_when_real(monkeypatch):
             assert dtypes == svds
             assert basis.span.dtype == dtype
             assert basis.span.shape == (len(units), 36)
-            assert basis.elements.dtype == np.complex128
+            assert basis.elements.dtype == dtype
 
 
 def test_basis_of_more_elements_than_n_squared_forms_no_gram_matrix():
